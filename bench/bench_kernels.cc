@@ -18,6 +18,7 @@
 #include "la/blas.h"
 #include "la/matrix.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace m3 {
 namespace {
@@ -86,6 +87,24 @@ void BM_Axpy(benchmark::State& state) {
 }
 BENCHMARK(BM_Axpy)->Arg(784)->Arg(1 << 14);
 
+// An L-BFGS-sized vector (2^20 doubles, past la::kParallelKernelMinLength):
+// pooled=1 fans out over the global pool, pooled=0 runs the same kernel on
+// a one-thread pool, i.e. inline. Real time, because the caller waits for
+// the whole fan-out, not just its own CPU.
+void BM_AxpyLong(benchmark::State& state) {
+  const size_t n = size_t{1} << 20;
+  la::Vector x(n, 1.5);
+  la::Vector y(n, 0.0);
+  util::ThreadPool inline_pool(1);
+  util::ThreadPool* pool = state.range(0) != 0 ? nullptr : &inline_pool;
+  for (auto _ : state) {
+    la::Axpy(0.5, x, y, pool);
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(n) * 24);
+}
+BENCHMARK(BM_AxpyLong)->ArgName("pooled")->Arg(0)->Arg(1)->UseRealTime();
+
 template <bool kMapped>
 void BM_GemvBacking(benchmark::State& state) {
   const size_t rows = static_cast<size_t>(state.range(0));
@@ -142,7 +161,9 @@ void BM_ParallelGemv(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() * rows * kCols * 8);
 }
-BENCHMARK(BM_ParallelGemv);
+// Real time: the rows run on pool workers, whose CPU the calling thread's
+// clock never sees.
+BENCHMARK(BM_ParallelGemv)->UseRealTime();
 
 void BM_GemvT(benchmark::State& state) {
   const size_t rows = 8192;

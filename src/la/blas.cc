@@ -7,6 +7,21 @@
 
 namespace m3::la {
 
+namespace {
+
+/// Runs fn(lo, hi) over [0, n): inline for short vectors and on pool
+/// workers, else in contiguous blocks across the pool.
+template <typename Fn>
+void ForEachBlock(size_t n, util::ThreadPool* pool, const Fn& fn) {
+  if (n < kParallelKernelMinLength || util::ThreadPool::InWorkerThread()) {
+    fn(0, n);
+    return;
+  }
+  util::ParallelFor(0, n, kParallelKernelMinLength, fn, pool);
+}
+
+}  // namespace
+
 double Dot(ConstVectorView x, ConstVectorView y) {
   M3_CHECK(x.size() == y.size(), "Dot size mismatch %zu vs %zu", x.size(),
            y.size());
@@ -20,23 +35,42 @@ double Dot(ConstVectorView x, ConstVectorView y) {
   return acc;
 }
 
-void Axpy(double alpha, ConstVectorView x, VectorView y) {
+void Axpy(double alpha, ConstVectorView x, VectorView y,
+          util::ThreadPool* pool) {
   M3_CHECK(x.size() == y.size(), "Axpy size mismatch %zu vs %zu", x.size(),
            y.size());
+  const double* px = x.data();
+  double* py = y.data();
+  ForEachBlock(x.size(), pool, [=](size_t lo, size_t hi) {
+    for (size_t i = lo; i < hi; ++i) {
+      py[i] += alpha * px[i];
+    }
+  });
+}
+
+double AxpyDot(double alpha, ConstVectorView x, VectorView y,
+               ConstVectorView z) {
+  M3_CHECK(x.size() == y.size() && z.size() == y.size(),
+           "AxpyDot size mismatch");
   const size_t n = x.size();
   const double* px = x.data();
   double* py = y.data();
+  const double* pz = z.data();
+  double acc = 0.0;
   for (size_t i = 0; i < n; ++i) {
     py[i] += alpha * px[i];
+    acc += pz[i] * py[i];
   }
+  return acc;
 }
 
-void Scal(double alpha, VectorView x) {
+void Scal(double alpha, VectorView x, util::ThreadPool* pool) {
   double* px = x.data();
-  const size_t n = x.size();
-  for (size_t i = 0; i < n; ++i) {
-    px[i] *= alpha;
-  }
+  ForEachBlock(x.size(), pool, [=](size_t lo, size_t hi) {
+    for (size_t i = lo; i < hi; ++i) {
+      px[i] *= alpha;
+    }
+  });
 }
 
 double Nrm2(ConstVectorView x) { return std::sqrt(Dot(x, x)); }
@@ -70,9 +104,49 @@ double SquaredDistance(ConstVectorView x, ConstVectorView y) {
   return acc;
 }
 
-void Copy(ConstVectorView x, VectorView out) {
+void Copy(ConstVectorView x, VectorView out, util::ThreadPool* pool) {
   M3_CHECK(x.size() == out.size(), "Copy size mismatch");
-  std::copy(x.begin(), x.end(), out.begin());
+  const double* px = x.data();
+  double* po = out.data();
+  ForEachBlock(x.size(), pool, [=](size_t lo, size_t hi) {
+    std::copy(px + lo, px + hi, po + lo);
+  });
+}
+
+void Subtract(ConstVectorView x, ConstVectorView y, VectorView out,
+              util::ThreadPool* pool) {
+  M3_CHECK(x.size() == y.size() && x.size() == out.size(),
+           "Subtract size mismatch");
+  const double* px = x.data();
+  const double* py = y.data();
+  double* po = out.data();
+  ForEachBlock(x.size(), pool, [=](size_t lo, size_t hi) {
+    for (size_t i = lo; i < hi; ++i) {
+      po[i] = px[i] - py[i];
+    }
+  });
+}
+
+void AccumulateAndClear(const std::vector<VectorView>& parts, VectorView out,
+                        util::ThreadPool* pool) {
+  for (const VectorView& part : parts) {
+    M3_CHECK(part.size() == out.size(), "AccumulateAndClear size mismatch");
+  }
+  // Tiles small enough that out's tile stays in L1 across the parts.
+  constexpr size_t kTile = 2048;
+  double* po = out.data();
+  ForEachBlock(out.size(), pool, [&parts, po](size_t lo, size_t hi) {
+    for (size_t t = lo; t < hi; t += kTile) {
+      const size_t t_end = std::min(hi, t + kTile);
+      for (const VectorView& part : parts) {
+        double* pp = part.data();
+        for (size_t i = t; i < t_end; ++i) {
+          po[i] += pp[i];
+          pp[i] = 0.0;
+        }
+      }
+    }
+  });
 }
 
 void Gemv(double alpha, ConstMatrixView a, ConstVectorView x, double beta,

@@ -2,6 +2,7 @@
 #define M3_LA_BLAS_H_
 
 #include <cstddef>
+#include <vector>
 
 #include "la/matrix.h"
 #include "util/thread_pool.h"
@@ -14,14 +15,30 @@ namespace m3::la {
 /// (logistic regression gradients, k-means distance passes). All kernels
 /// accept views, so they run unchanged on heap memory and mmap'd files.
 
+/// \brief Length from which the elementwise kernels (Axpy, Scal, Copy,
+/// Subtract, AccumulateAndClear) split a vector into contiguous blocks run
+/// across `pool` (the global pool by default). Shorter vectors, one-thread
+/// pools and calls made on a pool worker run inline. Each element sees the
+/// serial loop's operations, so every partition gives the same bits.
+inline constexpr size_t kParallelKernelMinLength = size_t{1} << 16;
+
 /// \brief Returns x . y. \pre x.size() == y.size().
+///
+/// Always serial: a split reduction would change the summation order.
 double Dot(ConstVectorView x, ConstVectorView y);
 
 /// \brief y += alpha * x. \pre x.size() == y.size().
-void Axpy(double alpha, ConstVectorView x, VectorView y);
+void Axpy(double alpha, ConstVectorView x, VectorView y,
+          util::ThreadPool* pool = nullptr);
+
+/// \brief y += alpha * x, then returns z . y (the updated y), in one serial
+/// pass: the bits of Axpy(alpha, x, y) followed by Dot(z, y), without a
+/// second trip over y. \pre all three sizes agree.
+double AxpyDot(double alpha, ConstVectorView x, VectorView y,
+               ConstVectorView z);
 
 /// \brief x *= alpha.
-void Scal(double alpha, VectorView x);
+void Scal(double alpha, VectorView x, util::ThreadPool* pool = nullptr);
 
 /// \brief Euclidean norm of x.
 double Nrm2(ConstVectorView x);
@@ -36,7 +53,18 @@ double AbsMax(ConstVectorView x);
 double SquaredDistance(ConstVectorView x, ConstVectorView y);
 
 /// \brief out = x (element copy). \pre same size.
-void Copy(ConstVectorView x, VectorView out);
+void Copy(ConstVectorView x, VectorView out, util::ThreadPool* pool = nullptr);
+
+/// \brief out = x - y in one pass; per element the same bits as
+/// Copy(x, out) followed by Axpy(-1.0, y, out). \pre same sizes.
+void Subtract(ConstVectorView x, ConstVectorView y, VectorView out,
+              util::ThreadPool* pool = nullptr);
+
+/// \brief out += parts[0] + ... elementwise, adding the parts in order (the
+/// bits of one Axpy(1.0, part, out) per part), and zeroes every part for
+/// reuse. \pre every part has out's size and none aliases out.
+void AccumulateAndClear(const std::vector<VectorView>& parts, VectorView out,
+                        util::ThreadPool* pool = nullptr);
 
 /// \brief y = alpha * A * x + beta * y (row-major GEMV).
 /// \pre A.cols() == x.size() and A.rows() == y.size().

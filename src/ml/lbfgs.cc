@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
+#include <limits>
+#include <utility>
 
 #include "la/blas.h"
 #include "util/logging.h"
@@ -15,7 +17,9 @@ using util::Status;
 namespace {
 
 /// State shared by the line-search helpers: evaluates
-/// phi(alpha) = f(w + alpha * d) and phi'(alpha) = grad . d.
+/// phi(alpha) = f(w + alpha * d) and phi'(alpha) = grad . d. The last
+/// probe's point, gradient and value stay in the scratch fields, so the
+/// optimizer can accept them without evaluating that point again.
 struct LineProbe {
   DifferentiableFunction* function;
   la::ConstVectorView w0;
@@ -23,15 +27,17 @@ struct LineProbe {
   la::VectorView w_trial;    // scratch: w0 + alpha d
   la::VectorView grad_trial; // scratch: gradient at w_trial
   size_t* evaluations;
+  double last_alpha = std::numeric_limits<double>::quiet_NaN();
+  double last_value = 0;     // f(w_trial)
 
   double Eval(double alpha, double* derivative) {
     la::Copy(w0, w_trial);
     la::Axpy(alpha, direction, w_trial);
-    const double value =
-        function->EvaluateWithGradient(w_trial, grad_trial);
+    last_value = function->EvaluateWithGradient(w_trial, grad_trial);
+    last_alpha = alpha;
     ++*evaluations;
     *derivative = la::Dot(grad_trial, direction);
-    return value;
+    return last_value;
   }
 };
 
@@ -115,8 +121,7 @@ Result<OptimizationResult> Lbfgs::Minimize(DifferentiableFunction* function,
   }
 
   OptimizationResult result;
-  la::Vector grad(n), grad_prev(n), direction(n);
-  la::Vector w_trial(n), grad_trial(n), w_prev(n);
+  la::Vector grad(n), direction(n), w_trial(n), grad_trial(n);
 
   const auto* chunked_before = dynamic_cast<ChunkedObjective*>(function);
   const size_t passes_before =
@@ -129,9 +134,14 @@ Result<OptimizationResult> Lbfgs::Minimize(DifferentiableFunction* function,
         "objective is not finite at the initial point");
   }
 
-  // Correction-pair history (s = w_k+1 - w_k, y = g_k+1 - g_k).
+  // Correction-pair history (s = w_k+1 - w_k, y = g_k+1 - g_k). The next
+  // pair is computed into s_next / y_next: a rejected pair leaves them for
+  // the next iteration, and an accepted one hands them to the history and
+  // takes over the evicted oldest pair's buffers (empty until it is full).
   std::deque<la::Vector> s_history, y_history;
   std::deque<double> rho_history;
+  double sy_last = 0;  // s.y of the newest pair
+  la::Vector s_next, y_next;
 
   for (size_t iter = 0; iter < options_.max_iterations; ++iter) {
     const double grad_inf = la::AbsMax(grad);
@@ -143,34 +153,46 @@ Result<OptimizationResult> Lbfgs::Minimize(DifferentiableFunction* function,
       break;
     }
 
-    // Two-loop recursion: direction = -H grad.
+    // Two-loop recursion: direction = -H grad. Each Axpy into `direction`
+    // is fused with the dot product that reads the updated `direction`
+    // next (la::AxpyDot: the same operations, one pass instead of two).
+    const size_t m = s_history.size();
     la::Copy(grad, direction);
-    std::vector<double> alpha(s_history.size());
-    for (size_t i = s_history.size(); i > 0; --i) {
-      const size_t k = i - 1;
-      alpha[k] = rho_history[k] * la::Dot(s_history[k], direction);
-      la::Axpy(-alpha[k], y_history[k], direction);
+    std::vector<double> alpha(m);
+    double dot = m > 0 ? la::Dot(s_history[m - 1], direction) : 0.0;
+    for (size_t k = m; k-- > 0;) {
+      alpha[k] = rho_history[k] * dot;
+      if (k > 0) {
+        dot = la::AxpyDot(-alpha[k], y_history[k], direction,
+                          s_history[k - 1]);
+      } else {
+        la::Axpy(-alpha[k], y_history[k], direction);
+      }
     }
-    if (!s_history.empty()) {
-      // Initial Hessian scaling gamma = s.y / y.y (Nocedal eq. 7.20).
-      const la::Vector& s_last = s_history.back();
+    if (m > 0) {
+      // Initial Hessian scaling gamma = s.y / y.y (Nocedal eq. 7.20), with
+      // s.y of the newest pair kept from its curvature check.
       const la::Vector& y_last = y_history.back();
       const double yy = la::Dot(y_last, y_last);
       if (yy > 0) {
-        la::Scal(la::Dot(s_last, y_last) / yy, direction);
+        la::Scal(sy_last / yy, direction);
       }
+      dot = la::Dot(y_history[0], direction);
     }
-    for (size_t k = 0; k < s_history.size(); ++k) {
-      const double beta = rho_history[k] * la::Dot(y_history[k], direction);
-      la::Axpy(alpha[k] - beta, s_history[k], direction);
+    for (size_t k = 0; k < m; ++k) {
+      const double beta = rho_history[k] * dot;
+      if (k + 1 < m) {
+        dot = la::AxpyDot(alpha[k] - beta, s_history[k], direction,
+                          y_history[k + 1]);
+      } else {
+        la::Axpy(alpha[k] - beta, s_history[k], direction);
+      }
     }
     la::Scal(-1.0, direction);
 
     // Strong-Wolfe line search along `direction`.
     const double df0 = la::Dot(grad, direction);
-    la::Copy(w, w_prev);
-    la::Copy(grad, grad_prev);
-    LineProbe probe{function, w_prev, direction, w_trial, grad_trial,
+    LineProbe probe{function, w, direction, w_trial, grad_trial,
                     &result.function_evaluations};
     // After the first update the two-loop recursion scales the direction
     // properly, so a unit step is the right opening probe. On the very
@@ -190,29 +212,42 @@ Result<OptimizationResult> Lbfgs::Minimize(DifferentiableFunction* function,
       break;
     }
 
-    // Accept w = w_prev + step * direction; reuse the last probe state if it
-    // matches, else evaluate at the accepted point.
-    la::Copy(w_prev, w);
-    la::Axpy(step, direction, w);
-    const double f_new = function->EvaluateWithGradient(w, grad);
-    ++result.function_evaluations;
+    // Accept w + step * direction. The search usually returns its last
+    // probe, whose point, gradient and value are still in the scratch; only
+    // the alpha_prev / alpha_lo fallbacks name an earlier probe and need a
+    // fresh evaluation. Either way the point is built the way a probe
+    // builds it, so its bits are those of evaluating it again.
+    if (step != probe.last_alpha) {
+      double unused_derivative = 0;
+      probe.Eval(step, &unused_derivative);
+    }
+    const double f_new = probe.last_value;
 
     // Update history.
-    la::Vector s(n), y(n);
-    la::Copy(w, s);
-    la::Axpy(-1.0, w_prev, s);
-    la::Copy(grad, y);
-    la::Axpy(-1.0, grad_prev, y);
-    const double sy = la::Dot(s, y);
+    if (s_next.size() != n) {
+      s_next = la::Vector(n);
+      y_next = la::Vector(n);
+    }
+    la::Subtract(w_trial, w, s_next);
+    la::Subtract(grad_trial, grad, y_next);
+    la::Copy(w_trial, w);
+    std::swap(grad, grad_trial);
+    const double sy = la::Dot(s_next, y_next);
     if (sy > 1e-12) {  // curvature condition; skip degenerate pairs
+      la::Vector s_free, y_free;
       if (s_history.size() == options_.history) {
+        s_free = std::move(s_history.front());
+        y_free = std::move(y_history.front());
         s_history.pop_front();
         y_history.pop_front();
         rho_history.pop_front();
       }
-      s_history.push_back(std::move(s));
-      y_history.push_back(std::move(y));
+      s_history.push_back(std::move(s_next));
+      y_history.push_back(std::move(y_next));
       rho_history.push_back(1.0 / sy);
+      sy_last = sy;
+      s_next = std::move(s_free);
+      y_next = std::move(y_free);
     }
 
     const double improvement =

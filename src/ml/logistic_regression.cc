@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <mutex>
+#include <vector>
 
 #include "la/blas.h"
-#include "util/thread_pool.h"
 
 namespace m3::ml {
 
@@ -57,14 +56,10 @@ double LogisticRegressionObjective::EvaluateChunk(size_t begin, size_t end,
   la::ConstVectorView weights = w.Slice(0, d);
   const double intercept = w[d];
 
-  // Per-chunk partials merged in chunk order (deterministic FP reduction).
-  const auto ranges = util::PartitionRange(
-      begin, end, 512, util::GlobalThreadPool().num_threads());
-  std::vector<la::Vector> partials(ranges.size(), la::Vector(d + 1));
-  std::vector<double> losses(ranges.size(), 0.0);
-  util::ParallelForIndexed(begin, end, 512,
-                           [&](size_t chunk, size_t lo, size_t hi) {
-    la::Vector& partial = partials[chunk];
+  // Per-range partials merged in range order (deterministic FP reduction).
+  const double loss =
+      ReduceRanges(begin, end, 512, grad,
+                   [&](size_t lo, size_t hi, la::VectorView partial) {
     double local_loss = 0;
     for (size_t r = lo; r < hi; ++r) {
       la::ConstVectorView xi = x_.Row(r);
@@ -72,17 +67,12 @@ double LogisticRegressionObjective::EvaluateChunk(size_t begin, size_t end,
       const double yi = y_[r];
       local_loss += Log1pExp(z) - yi * z;
       const double residual = (Sigmoid(z) - yi) * inv_n;
-      la::Axpy(residual, xi, partial.View().Slice(0, d));
+      la::Axpy(residual, xi, partial.Slice(0, d));
       partial[d] += residual;
     }
-    losses[chunk] = local_loss;
+    return local_loss;
   });
-  double chunk_loss = 0;
-  for (size_t c = 0; c < ranges.size(); ++c) {
-    chunk_loss += losses[c];
-    la::Axpy(1.0, partials[c], grad);
-  }
-  return chunk_loss * inv_n;
+  return loss * inv_n;
 }
 
 double LogisticRegressionObjective::ApplyRegularization(la::ConstVectorView w,
@@ -165,13 +155,9 @@ double SoftmaxRegressionObjective::EvaluateChunk(size_t begin, size_t end,
   const size_t stride = d + 1;  // per-class weights + bias
   const double inv_n = 1.0 / static_cast<double>(std::max<size_t>(1, NumRows()));
 
-  const auto ranges = util::PartitionRange(
-      begin, end, 256, util::GlobalThreadPool().num_threads());
-  std::vector<la::Vector> partials(ranges.size(), la::Vector(k * stride));
-  std::vector<double> losses(ranges.size(), 0.0);
-  util::ParallelForIndexed(begin, end, 256,
-                           [&](size_t chunk, size_t lo, size_t hi) {
-    la::Vector& partial = partials[chunk];
+  const double loss =
+      ReduceRanges(begin, end, 256, grad,
+                   [&](size_t lo, size_t hi, la::VectorView partial) {
     std::vector<double> scores(k);
     double local_loss = 0;
     for (size_t r = lo; r < hi; ++r) {
@@ -193,18 +179,13 @@ double SoftmaxRegressionObjective::EvaluateChunk(size_t begin, size_t end,
       for (size_t c = 0; c < k; ++c) {
         const double p = scores[c] / sum_exp;
         const double coeff = (p - (c == label ? 1.0 : 0.0)) * inv_n;
-        la::Axpy(coeff, xi, partial.View().Slice(c * stride, d));
+        la::Axpy(coeff, xi, partial.Slice(c * stride, d));
         partial[c * stride + d] += coeff;
       }
     }
-    losses[chunk] = local_loss;
+    return local_loss;
   });
-  double chunk_loss = 0;
-  for (size_t c = 0; c < ranges.size(); ++c) {
-    chunk_loss += losses[c];
-    la::Axpy(1.0, partials[c], grad);
-  }
-  return chunk_loss * inv_n;
+  return loss * inv_n;
 }
 
 double SoftmaxRegressionObjective::ApplyRegularization(la::ConstVectorView w,

@@ -4,6 +4,8 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <mutex>
+#include <vector>
 
 #include "la/chunker.h"
 #include "la/matrix.h"
@@ -102,10 +104,33 @@ class ChunkedObjective : public DifferentiableFunction {
   virtual double ApplyRegularization(la::ConstVectorView w,
                                      la::VectorView grad);
 
+  /// `range(lo, hi, partial)` adds the gradient of rows [lo, hi) into
+  /// `partial` and returns their loss.
+  using RangeFn =
+      std::function<double(size_t lo, size_t hi, la::VectorView partial)>;
+
+  /// The body of EvaluateChunk: splits rows [begin, end) with
+  /// util::PartitionRange(begin, end, grain, global pool size), runs
+  /// `range` on each part across the global pool into its own zeroed
+  /// scratch partial, adds the partials into `grad` in range order
+  /// (la::AccumulateAndClear) and returns the losses summed in range order.
+  double ReduceRanges(size_t begin, size_t end, size_t grain,
+                      la::VectorView grad, const RangeFn& range);
+
   size_t chunk_rows_ = 0;
   ScanHooks hooks_;
   exec::ChunkPipeline* pipeline_ = nullptr;
   size_t passes_ = 0;
+
+ private:
+  /// A zeroed Dimension()-long partial, recycled when one is free. Safe
+  /// from concurrently evaluated chunks.
+  la::Vector TakeScratch();
+  /// Returns a partial for reuse. \pre every element is zero.
+  void GiveScratch(la::Vector zeroed);
+
+  std::mutex scratch_mu_;
+  std::vector<la::Vector> scratch_;
 };
 
 }  // namespace m3::ml

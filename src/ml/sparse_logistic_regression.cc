@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "la/blas.h"
-#include "util/thread_pool.h"
 
 namespace m3::ml {
 
@@ -79,13 +78,9 @@ double SparseLogisticRegressionObjective::EvaluateChunk(size_t begin,
   // Same partition granularity and merge order as the dense objective:
   // per-range partials merged in range order (deterministic FP reduction,
   // and the same grouping as dense under the same chunk boundaries).
-  const auto ranges = util::PartitionRange(
-      begin, end, 512, util::GlobalThreadPool().num_threads());
-  std::vector<la::Vector> partials(ranges.size(), la::Vector(d + 1));
-  std::vector<double> losses(ranges.size(), 0.0);
-  util::ParallelForIndexed(begin, end, 512,
-                           [&](size_t chunk, size_t lo, size_t hi) {
-    la::Vector& partial = partials[chunk];
+  const double loss =
+      ReduceRanges(begin, end, 512, grad,
+                   [&](size_t lo, size_t hi, la::VectorView partial) {
     double local_loss = 0;
     for (size_t r = lo; r < hi; ++r) {
       const la::SparseRowView xi = x_.Row(r);
@@ -93,17 +88,12 @@ double SparseLogisticRegressionObjective::EvaluateChunk(size_t begin,
       const double yi = y_[r];
       local_loss += Log1pExp(z) - yi * z;
       const double residual = (Sigmoid(z) - yi) * inv_n;
-      la::SparseAxpy(residual, xi, partial.View().Slice(0, d));
+      la::SparseAxpy(residual, xi, partial.Slice(0, d));
       partial[d] += residual;
     }
-    losses[chunk] = local_loss;
+    return local_loss;
   });
-  double chunk_loss = 0;
-  for (size_t c = 0; c < ranges.size(); ++c) {
-    chunk_loss += losses[c];
-    la::Axpy(1.0, partials[c], grad);
-  }
-  return chunk_loss * inv_n;
+  return loss * inv_n;
 }
 
 double SparseLogisticRegressionObjective::ApplyRegularization(
@@ -192,13 +182,9 @@ double SparseSoftmaxRegressionObjective::EvaluateChunk(size_t begin,
   const double inv_n =
       1.0 / static_cast<double>(std::max<size_t>(1, NumRows()));
 
-  const auto ranges = util::PartitionRange(
-      begin, end, 256, util::GlobalThreadPool().num_threads());
-  std::vector<la::Vector> partials(ranges.size(), la::Vector(k * stride));
-  std::vector<double> losses(ranges.size(), 0.0);
-  util::ParallelForIndexed(begin, end, 256,
-                           [&](size_t chunk, size_t lo, size_t hi) {
-    la::Vector& partial = partials[chunk];
+  const double loss =
+      ReduceRanges(begin, end, 256, grad,
+                   [&](size_t lo, size_t hi, la::VectorView partial) {
     std::vector<double> scores(k);
     double local_loss = 0;
     for (size_t r = lo; r < hi; ++r) {
@@ -220,18 +206,13 @@ double SparseSoftmaxRegressionObjective::EvaluateChunk(size_t begin,
       for (size_t c = 0; c < k; ++c) {
         const double p = scores[c] / sum_exp;
         const double coeff = (p - (c == label ? 1.0 : 0.0)) * inv_n;
-        la::SparseAxpy(coeff, xi, partial.View().Slice(c * stride, d));
+        la::SparseAxpy(coeff, xi, partial.Slice(c * stride, d));
         partial[c * stride + d] += coeff;
       }
     }
-    losses[chunk] = local_loss;
+    return local_loss;
   });
-  double chunk_loss = 0;
-  for (size_t c = 0; c < ranges.size(); ++c) {
-    chunk_loss += losses[c];
-    la::Axpy(1.0, partials[c], grad);
-  }
-  return chunk_loss * inv_n;
+  return loss * inv_n;
 }
 
 double SparseSoftmaxRegressionObjective::ApplyRegularization(

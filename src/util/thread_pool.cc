@@ -4,6 +4,12 @@
 
 namespace m3::util {
 
+namespace {
+
+thread_local bool t_in_worker_thread = false;
+
+}  // namespace
+
 ThreadPool::ThreadPool(size_t num_threads) {
   num_threads = std::max<size_t>(1, num_threads);
   workers_.reserve(num_threads);
@@ -39,7 +45,10 @@ void ThreadPool::Wait() {
   all_idle_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
 }
 
+bool ThreadPool::InWorkerThread() { return t_in_worker_thread; }
+
 void ThreadPool::WorkerLoop() {
+  t_in_worker_thread = true;
   for (;;) {
     std::packaged_task<void()> task;
     {

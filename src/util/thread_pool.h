@@ -36,6 +36,11 @@ class ThreadPool {
 
   size_t num_threads() const { return workers_.size(); }
 
+  /// True on a worker thread of any ThreadPool. Kernels that would fan out
+  /// and wait run inline there instead, so a call nested inside a pool
+  /// task never waits on a queue whose workers are all waiting too.
+  static bool InWorkerThread();
+
  private:
   void WorkerLoop();
 

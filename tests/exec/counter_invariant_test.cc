@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <numeric>
@@ -178,13 +179,14 @@ TEST(ExecCounterArithmeticTest, UnclassifiedFlowsThroughConversions) {
 
 TEST_F(CounterInvariantTest, RetireComputeStallsConsistentAcrossWorkers) {
   // The SGD shape: a no-op map and real work in retire. Pages are touched
-  // at retire, so the race must be judged there. Each retire takes long
-  // enough that every prefetch of this small warm mapping lands well
-  // before its position retires — at every worker count the classified
-  // positions are all hits and the stall count is zero. Under the old
-  // map-dispatch sampling, fan-out dispatched the no-op maps in a burst
-  // and miscounted those hits as stalls (the deleted "judge on the serial
-  // configuration" caveat).
+  // at retire, so the race must be judged there. Each retire lasts until
+  // the next position's prefetch has landed (the prefetch stage bumps
+  // `prefetches` after publishing its high-water mark), so at every worker
+  // count the classified positions are all hits and the stall count is
+  // zero — on a loaded machine too, where a fixed sleep could lose the
+  // race. Under the old map-dispatch sampling, fan-out dispatched the
+  // no-op maps in a burst and miscounted those hits as stalls (the deleted
+  // "judge on the serial configuration" caveat).
   const size_t kRows = 2048, kCols = 32;
   io::MemoryMappedFile mapped = MakeMapped(kRows, kCols);
   const la::RowChunker chunker(kRows, 128);  // 16 chunks
@@ -196,8 +198,17 @@ TEST_F(CounterInvariantTest, RetireComputeStallsConsistentAcrossWorkers) {
     pipeline.Run(
         chunker, ChunkSchedule::Sequential(chunker.NumChunks()),
         [](size_t, size_t, size_t, size_t) {},
-        [](size_t, size_t, size_t, size_t) {
-          std::this_thread::sleep_for(std::chrono::microseconds(500));
+        [&](size_t position, size_t, size_t, size_t) {
+          const uint64_t landed =
+              std::min<uint64_t>(position + 2, chunker.NumChunks());
+          const auto deadline =
+              std::chrono::steady_clock::now() + std::chrono::seconds(10);
+          while (pipeline.stats().prefetches < landed) {
+            ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+                << "prefetch of position " << position + 1
+                << " never landed; workers=" << workers;
+            std::this_thread::sleep_for(std::chrono::microseconds(50));
+          }
         },
         RaceStage::kRetire);
     const PipelineStats stats = pipeline.stats();

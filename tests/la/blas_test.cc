@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace m3::la {
 namespace {
@@ -223,6 +227,131 @@ INSTANTIATE_TEST_SUITE_P(
       return std::to_string(info.param.rows) + "x" +
              std::to_string(info.param.cols);
     });
+
+// ---------------------------------------------------------------------------
+// Pooled elementwise kernels: the serial loops' bits under any partition
+// ---------------------------------------------------------------------------
+
+bool SameBits(ConstVectorView a, ConstVectorView b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// Lengths around the fan-out threshold, plus ones that split unevenly.
+std::vector<size_t> LengthsAroundThreshold() {
+  const size_t t = kParallelKernelMinLength;
+  return {1, t - 1, t, t + 1, 2 * t + 3, 4 * t + 5};
+}
+
+class PooledKernelTest : public ::testing::TestWithParam<size_t> {
+ protected:
+  PooledKernelTest() : pool_(GetParam()) {}
+  util::ThreadPool pool_;
+};
+
+TEST_P(PooledKernelTest, ElementwiseKernelsMatchSerialLoopsBitwise) {
+  for (const size_t n : LengthsAroundThreshold()) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    util::Rng rng(90 + n);
+    const Vector x = RandomVector(n, &rng);
+    const Vector y0 = RandomVector(n, &rng);
+    const double alpha = rng.Uniform(-3.0, 3.0);
+
+    Vector expected = y0;
+    for (size_t i = 0; i < n; ++i) {
+      expected[i] += alpha * x[i];
+    }
+    Vector y = y0;
+    Axpy(alpha, x, y, &pool_);
+    EXPECT_TRUE(SameBits(y, expected)) << "Axpy";
+
+    expected = x;
+    for (size_t i = 0; i < n; ++i) {
+      expected[i] *= alpha;
+    }
+    Vector scaled = x;
+    Scal(alpha, scaled, &pool_);
+    EXPECT_TRUE(SameBits(scaled, expected)) << "Scal";
+
+    Vector copied(n);
+    Copy(x, copied, &pool_);
+    EXPECT_TRUE(SameBits(copied, x)) << "Copy";
+
+    // Subtract is one pass with the bits of Copy then Axpy(-1).
+    expected = x;
+    for (size_t i = 0; i < n; ++i) {
+      expected[i] += -1.0 * y0[i];
+    }
+    Vector diff(n);
+    Subtract(x, y0, diff, &pool_);
+    EXPECT_TRUE(SameBits(diff, expected)) << "Subtract";
+
+    // AccumulateAndClear: one Axpy(1.0, part) per part, in part order.
+    std::vector<Vector> parts = {RandomVector(n, &rng), RandomVector(n, &rng),
+                                 RandomVector(n, &rng)};
+    expected = y0;
+    for (const Vector& part : parts) {
+      for (size_t i = 0; i < n; ++i) {
+        expected[i] += 1.0 * part[i];
+      }
+    }
+    std::vector<VectorView> views;
+    for (Vector& part : parts) {
+      views.push_back(part.View());
+    }
+    Vector sum = y0;
+    AccumulateAndClear(views, sum, &pool_);
+    EXPECT_TRUE(SameBits(sum, expected)) << "AccumulateAndClear";
+    const Vector zeros(n);
+    for (const Vector& part : parts) {
+      EXPECT_TRUE(SameBits(part, zeros)) << "part not cleared";
+    }
+  }
+}
+
+TEST(FusedKernelTest, AxpyDotMatchesAxpyThenDotBitwise) {
+  for (const size_t n : LengthsAroundThreshold()) {
+    util::Rng rng(120 + n);
+    const Vector x = RandomVector(n, &rng);
+    const Vector z = RandomVector(n, &rng);
+    Vector y_fused = RandomVector(n, &rng);
+    Vector y_split = y_fused;
+    const double fused = AxpyDot(-0.75, x, y_fused, z);
+    Axpy(-0.75, x, y_split);
+    const double split = Dot(z, y_split);
+    EXPECT_EQ(std::memcmp(&fused, &split, sizeof(double)), 0) << "n=" << n;
+    EXPECT_TRUE(SameBits(y_fused, y_split)) << "n=" << n;
+  }
+}
+
+TEST_P(PooledKernelTest, NestedCallsFromPoolTasksRunInline) {
+  // Every worker of the pool is busy in a task that calls a pooled kernel
+  // on that same pool. Fanning out would wait on a queue no free worker can
+  // drain; the kernels must run inline there instead.
+  const size_t n = 2 * kParallelKernelMinLength + 1;
+  const size_t tasks = pool_.num_threads();
+  std::vector<Vector> ys(tasks, Vector(n, 1.0));
+  std::vector<Vector> copies(tasks, Vector(n));
+  const Vector x(n, 2.0);
+  util::ParallelForIndexed(
+      0, tasks, 1,
+      [&](size_t task, size_t, size_t) {
+        EXPECT_EQ(util::ThreadPool::InWorkerThread(), tasks > 1);
+        Axpy(0.5, x, ys[task], &pool_);
+        Scal(2.0, ys[task], &pool_);
+        Copy(ys[task], copies[task], &pool_);
+      },
+      &pool_);
+  for (const Vector& copy : copies) {
+    EXPECT_TRUE(SameBits(copy, Vector(n, 4.0)));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(PoolSizes, PooledKernelTest,
+                         ::testing::Values(size_t{1}, size_t{2}, size_t{4}),
+                         [](const ::testing::TestParamInfo<size_t>& info) {
+                           return "threads" + std::to_string(info.param);
+                         });
 
 }  // namespace
 }  // namespace m3::la

@@ -29,6 +29,7 @@
 #include "ml/logistic_regression.h"
 #include "ml/sparse_logistic_regression.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace m3::ml {
 namespace {
@@ -305,6 +306,142 @@ TEST_F(SparseConformanceTest, TrainingBitwiseIdenticalAcrossWorkersAndBackends) 
 // The two chunking modes must agree with each other in value-determinism
 // terms too: nnz-budget chunking changes the FP grouping (so bits may
 // differ from uniform chunking), but each mode is itself deterministic.
+TEST(SparseObjectiveConformance, WideFoldBitwiseIdenticalAcrossWorkers) {
+  // Columns past la::kParallelKernelMinLength: the range partials and the
+  // chunk partials fold over the global pool, in coordinate blocks, from
+  // recycled scratch. Chunks of 1024 rows split into two ranges wherever
+  // the pool has two or more threads. The bits must not depend on how
+  // many chunks the engine evaluates at once, and a second pass over the
+  // recycled (re-zeroed) scratch must repeat the first.
+  const size_t rows = 2600;
+  const size_t cols = 2 * la::kParallelKernelMinLength + 7;
+  util::Rng rng(97);
+  TwinData data;  // CSR only: a dense twin this wide is needlessly large
+  data.rows = rows;
+  data.cols = cols;
+  data.row_ptr.push_back(0);
+  for (size_t r = 0; r < rows; ++r) {
+    // Ascending distinct columns spread over the whole width.
+    uint64_t c = rng.UniformInt(uint64_t{4096});
+    while (c < cols) {
+      data.col_idx.push_back(static_cast<uint32_t>(c));
+      data.values.push_back(rng.Uniform(-1.0, 1.0));
+      c += 1 + rng.UniformInt(uint64_t{cols / 12});
+    }
+    data.row_ptr.push_back(data.col_idx.size());
+    data.labels.push_back(rng.Uniform() < 0.5 ? 0.0 : 1.0);
+  }
+  la::Vector w(cols + 1);
+  for (size_t i = 0; i < w.size(); ++i) {
+    w[i] = rng.Uniform(-0.5, 0.5);
+  }
+  auto evaluate = [&](exec::ChunkPipeline* pipeline, la::Vector* grad) {
+    SparseLogisticRegressionObjective objective(data.Csr(), data.Labels(),
+                                                1e-4, /*chunk_rows=*/1024);
+    objective.set_pipeline(pipeline);
+    *grad = la::Vector(objective.Dimension());
+    const double loss = objective.EvaluateWithGradient(w, *grad);
+    la::Vector again(objective.Dimension());
+    const double loss_again = objective.EvaluateWithGradient(w, again);
+    EXPECT_EQ(std::memcmp(&loss, &loss_again, sizeof(double)), 0);
+    EXPECT_TRUE(BitwiseEqual(*grad, again)) << "second pass differs";
+    return loss;
+  };
+  la::Vector reference_grad;
+  const double reference = evaluate(nullptr, &reference_grad);
+  for (const size_t workers : {size_t{0}, size_t{2}, size_t{4}}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    exec::PipelineOptions options;
+    options.num_workers = workers;
+    exec::ChunkPipeline pipeline(options);
+    la::Vector grad;
+    const double loss = evaluate(&pipeline, &grad);
+    EXPECT_EQ(std::memcmp(&loss, &reference, sizeof(double)), 0);
+    EXPECT_TRUE(BitwiseEqual(grad, reference_grad));
+  }
+}
+
+/// A ChunkedObjective whose rows add fixed, wildly scaled values to a few
+/// coordinates of a wide gradient, so any change in the order partials are
+/// added in shows in the bits.
+class OrderProbeObjective final : public ChunkedObjective {
+ public:
+  OrderProbeObjective(size_t rows, size_t dim, size_t chunk_rows)
+      : ChunkedObjective(chunk_rows, ScanHooks()), rows_(rows), dim_(dim) {}
+
+  size_t NumRows() const override { return rows_; }
+  size_t Dimension() const override { return dim_; }
+
+  /// Row r's contribution to each of its three coordinates.
+  static double Value(size_t r) {
+    return (r % 3 == 0 ? 1e16 : 1.0) + static_cast<double>(r) * 0.1;
+  }
+  /// Rows r and r + 64 share coordinates, so every coordinate sums rows
+  /// from every range and chunk.
+  size_t Coordinate(size_t r, size_t k) const {
+    return ((r % 64) * 2048 + k * 683) % dim_;
+  }
+
+  double EvaluateChunk(size_t begin, size_t end, la::ConstVectorView,
+                       la::VectorView grad) override {
+    return ReduceRanges(begin, end, 512, grad,
+                        [&](size_t lo, size_t hi, la::VectorView partial) {
+      for (size_t r = lo; r < hi; ++r) {
+        for (size_t k = 0; k < 3; ++k) {
+          partial[Coordinate(r, k)] += Value(r);
+        }
+      }
+      return 0.0;
+    });
+  }
+
+ private:
+  size_t rows_;
+  size_t dim_;
+};
+
+TEST(SparseObjectiveConformance, RangeThenChunkFoldOrderIsPinned) {
+  // The reference is the fold the objectives wrote out by hand before they
+  // shared ChunkedObjective::ReduceRanges: per chunk, one zeroed partial
+  // per PartitionRange range, added into a zeroed chunk partial in range
+  // order, then each chunk partial added into the gradient in chunk order.
+  const size_t rows = 5000;
+  const size_t dim = 2 * la::kParallelKernelMinLength + 7;
+  const size_t chunk_rows = 1500;
+  OrderProbeObjective objective(rows, dim, chunk_rows);
+  la::Vector expected(dim);
+  for (size_t begin = 0; begin < rows; begin += chunk_rows) {
+    const size_t end = std::min(rows, begin + chunk_rows);
+    la::Vector chunk(dim);
+    for (const auto& [lo, hi] : util::PartitionRange(
+             begin, end, 512, util::GlobalThreadPool().num_threads())) {
+      la::Vector range(dim);
+      for (size_t r = lo; r < hi; ++r) {
+        for (size_t k = 0; k < 3; ++k) {
+          range[objective.Coordinate(r, k)] += OrderProbeObjective::Value(r);
+        }
+      }
+      for (size_t i = 0; i < dim; ++i) {
+        chunk[i] += range[i];
+      }
+    }
+    for (size_t i = 0; i < dim; ++i) {
+      expected[i] += chunk[i];
+    }
+  }
+  for (const size_t workers : {size_t{0}, size_t{3}}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    exec::PipelineOptions options;
+    options.num_workers = workers;
+    exec::ChunkPipeline pipeline(options);
+    objective.set_pipeline(&pipeline);
+    la::Vector w(dim);
+    la::Vector grad(dim);
+    objective.EvaluateWithGradient(w, grad);
+    EXPECT_TRUE(BitwiseEqual(grad, expected));
+  }
+}
+
 TEST(SparseObjectiveConformance, NnzBudgetModeIsSelfDeterministic) {
   const TwinData data = MakeTwin(500, 40, 16, 2, /*seed=*/13);
   SparseLogisticRegressionObjective a(data.Csr(), data.Labels(), 1e-4,

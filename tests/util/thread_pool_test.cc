@@ -149,5 +149,14 @@ TEST(GlobalThreadPoolTest, SingletonAndSized) {
   EXPECT_GE(a.num_threads(), 1u);
 }
 
+TEST(ThreadPoolTest, InWorkerThreadOnlyOnPoolWorkers) {
+  EXPECT_FALSE(ThreadPool::InWorkerThread());
+  ThreadPool pool(1);
+  bool in_worker = false;
+  pool.Submit([&] { in_worker = ThreadPool::InWorkerThread(); }).get();
+  EXPECT_TRUE(in_worker);
+  EXPECT_FALSE(ThreadPool::InWorkerThread());
+}
+
 }  // namespace
 }  // namespace m3::util
