@@ -7,13 +7,13 @@
 #include <utility>
 #include <vector>
 
+#include "cluster/cluster_config.h"
 #include "core/m3.h"
 #include "data/dataset.h"
 #include "data/infimnist.h"
 #include "exec/pipeline_stats.h"
 #include "io/disk_probe.h"
 #include "io/file.h"
-#include "io/io_stats.h"
 #include "io/platform.h"
 #include "obs/trace_session.h"
 #include "util/flags.h"
@@ -114,16 +114,36 @@ inline uint64_t ImagesForMb(uint64_t mb) {
   return (mb << 20) / (data::kImageFeatures * sizeof(double));
 }
 
-/// \brief Prints the process-wide execution-engine counters (prefetch,
-/// evict, pipeline-stall) accumulated since start / the last reset.
-inline void PrintExecCounters() {
-  std::printf("exec: %s\n", io::GlobalExecCounters().ToString().c_str());
+/// \brief What one measured run over `dataset` did: its pipeline's stats
+/// (counters and per-stage seconds, taken with ConsumeStats) plus the
+/// evictions of its RAM-budget emulator, which evicts behind dense
+/// trainer-driven scans in place of the pipeline. The emulator counts from
+/// Open, so call this once per dataset opened for the measurement.
+inline exec::PipelineStats ConsumeRunStats(MappedDataset& dataset) {
+  exec::PipelineStats stats = dataset.pipeline().ConsumeStats();
+  if (const RamBudgetEmulator* budget = dataset.ram_budget()) {
+    stats.evictions += budget->evictions();
+    stats.bytes_evicted += budget->bytes_evicted();
+  }
+  return stats;
+}
+
+/// \brief The partition-pipeline stats of every instance (simulator) or
+/// worker (fleet) of a distributed run, cached and spilled summed. Zero
+/// when the run drove no partition pipelines.
+inline exec::PipelineStats SumInstanceExec(const cluster::JobStats& stats) {
+  exec::PipelineStats total;
+  for (const cluster::InstanceExecStats& instance : stats.instance_exec) {
+    total += instance.cached;
+    total += instance.spilled;
+  }
+  return total;
 }
 
 /// \brief Machine-readable bench output: one BENCH_<name>.json per bench.
 ///
 /// Every measured configuration is recorded with its wall seconds and the
-/// ExecCounters delta it produced, then written as a single JSON document
+/// PipelineStats of the run, then written as a single JSON document
 /// so CI can track the perf trajectory across PRs without scraping tables:
 ///
 ///   {"bench": "sgd_overlap", "cases": [
@@ -141,21 +161,8 @@ class JsonReporter {
   /// double poisons the reporter: Write() refuses to emit an unparseable
   /// file and returns the error instead.
   ///
-  /// Both overloads render the "exec" object through
-  /// exec::PipelineStats::ToJson() — the one serialization of pipeline
-  /// stats. The ExecCounters overload lifts the counters into a stats
-  /// value first (per-stage seconds and duration percentiles read as 0);
-  /// benches that hold a real pipeline should pass its stats() so the
-  /// stall/compute percentiles land in the JSON.
-  void Add(const std::string& case_name, double seconds,
-           const io::ExecCounters& exec,
-           const std::vector<std::pair<std::string, uint64_t>>& extra = {},
-           const std::vector<std::pair<std::string, double>>& extra_doubles =
-               {}) {
-    Add(case_name, seconds, exec::PipelineStats::FromCounters(exec), extra,
-        extra_doubles);
-  }
-
+  /// The "exec" object is exec::PipelineStats::ToJson(), the one
+  /// serialization of pipeline stats.
   void Add(const std::string& case_name, double seconds,
            const exec::PipelineStats& stats,
            const std::vector<std::pair<std::string, uint64_t>>& extra = {},

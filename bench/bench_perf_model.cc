@@ -89,7 +89,6 @@ int Run(int argc, char** argv) {
     uint64_t size_mb = 0;
     uint64_t bytes = 0;
     exec::PipelineStats stats;
-    io::ExecCounters exec;
   };
   std::vector<Measurement> measured;
   const std::string path = dir + "/m3_perfmodel.m3";
@@ -100,7 +99,6 @@ int Run(int argc, char** argv) {
     }
     auto dataset = MappedDataset::Open(path).ValueOrDie();
     dataset.mapping().TouchAllPages();  // warm: isolate the CPU term
-    const io::ExecCounters before = io::GlobalExecCounters();
     ml::OptimizationResult stats;
     auto model = TrainLogisticRegression(dataset, options, &stats);
     if (!model.ok()) {
@@ -111,7 +109,6 @@ int Run(int argc, char** argv) {
     m.size_mb = size_mb;
     m.bytes = dataset.feature_bytes();
     m.stats = dataset.pipeline().ConsumeStats();
-    m.exec = io::GlobalExecCounters() - before;
     measured.push_back(m);
   }
   M3_IGNORE_STATUS(io::RemoveFile(path), "best-effort scratch cleanup");
@@ -136,7 +133,7 @@ int Run(int argc, char** argv) {
 
   JsonReporter reporter("perf_model");
   reporter.Add(
-      "fit", calibration.measured_seconds, measured[0].exec, {},
+      "fit", calibration.measured_seconds, measured[0].stats, {},
       {{"cpu_seconds_per_byte", calibration.params.cpu_seconds_per_byte},
        {"disk_read_bytes_per_sec",
         calibration.params.disk_read_bytes_per_sec},
@@ -172,7 +169,7 @@ int Run(int argc, char** argv) {
     reporter.Add(util::StrFormat(
                      "size_%llu_mb",
                      static_cast<unsigned long long>(m.size_mb)),
-                 measured_seconds, m.exec, {},
+                 measured_seconds, m.stats, {},
                  {{"predicted_seconds", predicted},
                   {"residual_seconds", predicted - measured_seconds},
                   {"relative_residual", residual}});

@@ -26,7 +26,7 @@ namespace {
 
 struct EpochResult {
   double seconds = 0;
-  io::ExecCounters exec;
+  exec::PipelineStats exec;
   io::ResourceSample usage;
   std::vector<double> weights;  ///< trained weights (bitwise comparison)
   bool trained = false;         ///< training succeeded; weights are valid
@@ -40,14 +40,13 @@ EpochResult RunConfig(const std::string& path, const M3Options& options,
   ml::LogisticRegressionOptions train_options;
   train_options.lbfgs = PaperLbfgsOptions();
   train_options.lbfgs.max_iterations = iterations;
-  const io::ExecCounters exec_before = io::GlobalExecCounters();
   const io::ResourceSample before = io::ResourceSample::Now();
   util::Stopwatch watch;
   auto model = TrainLogisticRegression(dataset, train_options);
   EpochResult result;
   result.seconds = watch.ElapsedSeconds();
   result.usage = io::ResourceSample::Now() - before;
-  result.exec = io::GlobalExecCounters() - exec_before;
+  result.exec = ConsumeRunStats(dataset);
   if (!model.ok()) {
     std::fprintf(stderr, "training failed: %s\n",
                  model.status().ToString().c_str());
@@ -173,9 +172,15 @@ int Run(int argc, char** argv) {
   util::TablePrinter table({"config", "epochs_s", "read", "major_faults",
                             "prefetches", "stalls", "submits", "fallbacks",
                             "evicted"});
-  auto add_row = [&](const std::string& name, const EpochResult& r) {
+  JsonReporter reporter("pipeline_overlap");
+  // /proc/self/io reads 0 where the kernel does not account it; say so
+  // instead of printing a made-up "0 B".
+  const bool io_live = io::GetPlatformCapabilities().proc_io_counters_live;
+  exec::PipelineStats total;
+  bool stage_seconds_missing = false;
+  auto record = [&](const std::string& name, const EpochResult& r) {
     table.AddRow({name, util::StrFormat("%.3f", r.seconds),
-                  util::HumanBytes(r.usage.io.read_bytes),
+                  io_live ? util::HumanBytes(r.usage.io.read_bytes) : "n/a",
                   util::StrFormat("%lld",
                                   static_cast<long long>(r.usage.faults.major)),
                   util::StrFormat("%llu", static_cast<unsigned long long>(
@@ -187,11 +192,18 @@ int Run(int argc, char** argv) {
                   util::StrFormat("%llu", static_cast<unsigned long long>(
                                               r.exec.backend_fallbacks)),
                   util::HumanBytes(r.exec.bytes_evicted)});
+    reporter.Add(name, r.seconds, r.exec);
+    total += r.exec;
+    if (r.exec.passes > 0 && r.exec.drive_seconds == 0) {
+      stage_seconds_missing = true;
+      std::fprintf(stderr,
+                   "STAGE SECONDS MISSING: %s ran %llu passes but reports "
+                   "drive_seconds == 0\n",
+                   name.c_str(),
+                   static_cast<unsigned long long>(r.exec.passes));
+    }
   };
-  add_row("serial", serial);
-
-  JsonReporter reporter("pipeline_overlap");
-  reporter.Add("serial", serial.seconds, serial.exec);
+  record("serial", serial);
 
   double best_seconds = 0;
   std::string best_name;
@@ -209,8 +221,7 @@ int Run(int argc, char** argv) {
         RunConfig(path, pipelined_options, static_cast<size_t>(iterations));
     const std::string name =
         "pipelined_" + std::string(io::PrefetchBackendKindToString(kind));
-    add_row(name, result);
-    reporter.Add(name, result.seconds, result.exec);
+    record(name, result);
     // A failed run is an I/O/training error, not a determinism verdict:
     // only runs that actually trained get their bits compared.
     if (!result.trained) {
@@ -228,7 +239,7 @@ int Run(int argc, char** argv) {
     }
   }
   table.Print(stdout, csv);
-  PrintExecCounters();
+  std::printf("exec (all configs): %s\n", total.ToString().c_str());
   if (any_training_failed) {
     std::printf("weights comparison INCOMPLETE: some configs failed to "
                 "train (see stderr)\n");
@@ -251,7 +262,10 @@ int Run(int argc, char** argv) {
               best_name.c_str(), std::abs(improvement),
               improvement >= 0 ? "faster" : "slower");
   M3_IGNORE_STATUS(io::RemoveFile(path), "best-effort scratch cleanup");
-  return (all_bitwise_identical && !any_training_failed) ? 0 : 1;
+  return (all_bitwise_identical && !any_training_failed &&
+          !stage_seconds_missing)
+             ? 0
+             : 1;
 }
 
 }  // namespace

@@ -56,6 +56,7 @@ int Run(int argc, char** argv) {
   util::TablePrinter table({"budget", "budget/data", "runtime_s",
                             "evicted_per_pass", "slowdown"});
   double baseline = 0;
+  exec::PipelineStats total;
   // 0 = unlimited, then 2x, 1x, 1/2, 1/4, 1/8 of the dataset.
   const double fractions[] = {0.0, 2.0, 1.0, 0.5, 0.25, 0.125};
   for (double fraction : fractions) {
@@ -78,6 +79,7 @@ int Run(int argc, char** argv) {
     if (baseline == 0) {
       baseline = seconds;
     }
+    total += ConsumeRunStats(dataset);
     uint64_t evicted_per_pass = 0;
     if (auto* budget = dataset.ram_budget();
         budget != nullptr && budget->passes() > 0) {
@@ -92,7 +94,7 @@ int Run(int argc, char** argv) {
          util::StrFormat("%.2fx", seconds / baseline)});
   }
   table.Print(stdout, csv);
-  PrintExecCounters();
+  std::printf("exec (all budgets): %s\n", total.ToString().c_str());
   std::printf("\nexpectation: runtime is flat while budget >= data (zero "
               "eviction), then grows as the budget shrinks — the emulated "
               "version of crossing the paper's 32 GB boundary.\n");

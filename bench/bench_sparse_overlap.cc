@@ -34,7 +34,7 @@ namespace {
 
 struct PassResult {
   double seconds = 0;
-  io::ExecCounters exec;
+  exec::PipelineStats exec;
   io::ResourceSample usage;
   bool trained = false;
 };
@@ -180,13 +180,12 @@ int Run(int argc, char** argv) {
     train_options.lbfgs = PaperLbfgsOptions();
     train_options.lbfgs.max_iterations = static_cast<size_t>(iterations);
     PassResult result;
-    const io::ExecCounters exec_before = io::GlobalExecCounters();
     const io::ResourceSample before = io::ResourceSample::Now();
     util::Stopwatch watch;
     auto model = TrainLogisticRegression(dataset, train_options);
     result.seconds = watch.ElapsedSeconds();
     result.usage = io::ResourceSample::Now() - before;
-    result.exec = io::GlobalExecCounters() - exec_before;
+    result.exec = ConsumeRunStats(dataset);
     result.trained = model.ok();
     if (!model.ok()) {
       std::fprintf(stderr, "dense training failed: %s\n",
@@ -212,7 +211,6 @@ int Run(int argc, char** argv) {
     train_options.chunk_nnz_bytes = dataset.ChunkNnzBytes();
     train_options.pipeline = &dataset.pipeline();
     PassResult result;
-    const io::ExecCounters exec_before = io::GlobalExecCounters();
     const io::ResourceSample before = io::ResourceSample::Now();
     util::Stopwatch watch;
     auto model = ml::SparseLogisticRegression(train_options)
@@ -220,7 +218,8 @@ int Run(int argc, char** argv) {
                             la::ConstVectorView(labels.data(), labels.size()));
     result.seconds = watch.ElapsedSeconds();
     result.usage = io::ResourceSample::Now() - before;
-    result.exec = io::GlobalExecCounters() - exec_before;
+    // CSR scans evict in the pipeline, whose stats count them.
+    result.exec = dataset.pipeline().ConsumeStats();
     result.trained = model.ok();
     if (!model.ok()) {
       std::fprintf(stderr, "sparse training failed: %s\n",
@@ -234,11 +233,14 @@ int Run(int argc, char** argv) {
 
   util::TablePrinter table({"config", "epochs_s", "scan_bytes_per_pass",
                             "read", "prefetches", "stalls", "evicted"});
+  // /proc/self/io reads 0 where the kernel does not account it; say so
+  // instead of printing a made-up "0 B".
+  const bool io_live = io::GetPlatformCapabilities().proc_io_counters_live;
   auto add_row = [&](const std::string& name, const PassResult& r,
                      uint64_t scan_bytes) {
     table.AddRow({name, util::StrFormat("%.3f", r.seconds),
                   util::HumanBytes(scan_bytes),
-                  util::HumanBytes(r.usage.io.read_bytes),
+                  io_live ? util::HumanBytes(r.usage.io.read_bytes) : "n/a",
                   util::StrFormat("%llu", static_cast<unsigned long long>(
                                               r.exec.prefetches)),
                   util::StrFormat("%llu", static_cast<unsigned long long>(
@@ -248,7 +250,6 @@ int Run(int argc, char** argv) {
   add_row("dense_equivalent", dense, dense_scan_bytes);
   add_row("csr", sparse, sparse_scan_bytes);
   table.Print(stdout, csv);
-  PrintExecCounters();
 
   JsonReporter reporter("sparse_overlap");
   reporter.Add("dense_equivalent", dense.seconds, dense.exec,

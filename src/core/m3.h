@@ -40,8 +40,9 @@
 ///       [&](size_t, double&& partial) { loss += partial; });
 ///
 /// Partials always merge in chunk order, so results are bitwise identical
-/// at any worker count. Engine counters (prefetch/evict/stall) land in
-/// io::GlobalExecCounters().
+/// at any worker count. Engine counters and stage seconds
+/// (prefetch/evict/stall, drive/compute) accumulate in
+/// ds.pipeline().stats(); ConsumeStats() reads and resets them.
 
 #include <string>
 

@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "io/io_stats.h"
 #include "obs/trace_recorder.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
@@ -427,23 +426,12 @@ void ChunkPipeline::Run(const la::Chunker& chunker,
   M3_CHECK(schedule.num_chunks() == chunker.NumChunks(),
            "schedule covers %zu chunks, chunker has %zu",
            schedule.num_chunks(), chunker.NumChunks());
-  // Marks this pass as in flight for the ExecCounters quiescence contract
-  // (io/io_stats.h): Reset/SetExecCounters CHECK-fail while any pass holds
-  // this guard.
-  const io::ScopedExecCountersPass pass_guard;
   obs::NameThisThread("driver");
   obs::ScopedSpan pass_span("exec", "pass");
   if (pass_span.armed()) {
     pass_span.AddArg("chunks", static_cast<uint64_t>(chunker.NumChunks()));
     pass_span.AddArg("workers", static_cast<uint64_t>(options_.num_workers));
   }
-  PipelineStats before;
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    before = stats_;
-  }
-  // Started after the stats snapshot so drive time measures only the pass,
-  // not the snapshot's mutex wait.
   util::Stopwatch watch;
   prefetch_goal_ = 0;
   prefetched_through_.store(0, std::memory_order_release);
@@ -500,18 +488,14 @@ void ChunkPipeline::Run(const la::Chunker& chunker,
   if (io_pool_ != nullptr) {
     io_pool_->Wait();  // settle outstanding prefetches/evictions
   }
-  // Report this pass's increments to the process-wide counters.
-  io::ExecCounters delta;
   PipelineStats snapshot;
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.passes;
     stats_.chunks += chunker.NumChunks();
     stats_.drive_seconds += watch.ElapsedSeconds();
-    delta = stats_.counters() - before.counters();
     snapshot = stats_;
   }
-  io::AddExecCounters(delta);
   if (obs::TracingEnabled()) {
     // Same serialization the bench JSON emits, so a trace is self-describing.
     obs::TraceRecorder::Get().SetMetadata("pipeline_stats", snapshot.ToJson());

@@ -34,42 +34,6 @@ PipelineStats PipelineStats::operator+(const PipelineStats& rhs) const {
   return out;
 }
 
-io::ExecCounters PipelineStats::counters() const {
-  io::ExecCounters out;
-  out.passes = passes;
-  out.chunks = chunks;
-  out.prefetches = prefetches;
-  out.prefetch_bytes = prefetch_bytes;
-  out.evictions = evictions;
-  out.bytes_evicted = bytes_evicted;
-  out.prefetch_hits = prefetch_hits;
-  out.stalls = stalls;
-  out.stall_bytes = stall_bytes;
-  out.prefetch_unclassified = prefetch_unclassified;
-  out.backend_submits = backend_submits;
-  out.backend_completions = backend_completions;
-  out.backend_fallbacks = backend_fallbacks;
-  return out;
-}
-
-PipelineStats PipelineStats::FromCounters(const io::ExecCounters& counters) {
-  PipelineStats out;
-  out.passes = counters.passes;
-  out.chunks = counters.chunks;
-  out.prefetches = counters.prefetches;
-  out.prefetch_bytes = counters.prefetch_bytes;
-  out.evictions = counters.evictions;
-  out.bytes_evicted = counters.bytes_evicted;
-  out.prefetch_hits = counters.prefetch_hits;
-  out.stalls = counters.stalls;
-  out.stall_bytes = counters.stall_bytes;
-  out.prefetch_unclassified = counters.prefetch_unclassified;
-  out.backend_submits = counters.backend_submits;
-  out.backend_completions = counters.backend_completions;
-  out.backend_fallbacks = counters.backend_fallbacks;
-  return out;
-}
-
 double PipelineStats::PrefetchHitRate() const {
   const uint64_t raced = prefetch_hits + stalls;
   if (raced == 0) {

@@ -3,13 +3,10 @@
 #include <sys/resource.h>
 #include <sys/time.h>
 
-#include <atomic>
 #include <chrono>
-#include <mutex>
 
 #include "io/file.h"
 #include "util/format.h"
-#include "util/logging.h"
 
 namespace m3::io {
 
@@ -65,123 +62,6 @@ Result<IoCounters> ReadIoCounters() {
     }
   }
   return counters;
-}
-
-ExecCounters ExecCounters::operator-(const ExecCounters& rhs) const {
-  ExecCounters out;
-  out.passes = passes - rhs.passes;
-  out.chunks = chunks - rhs.chunks;
-  out.prefetches = prefetches - rhs.prefetches;
-  out.prefetch_bytes = prefetch_bytes - rhs.prefetch_bytes;
-  out.evictions = evictions - rhs.evictions;
-  out.bytes_evicted = bytes_evicted - rhs.bytes_evicted;
-  out.prefetch_hits = prefetch_hits - rhs.prefetch_hits;
-  out.stalls = stalls - rhs.stalls;
-  out.stall_bytes = stall_bytes - rhs.stall_bytes;
-  out.prefetch_unclassified = prefetch_unclassified - rhs.prefetch_unclassified;
-  out.backend_submits = backend_submits - rhs.backend_submits;
-  out.backend_completions = backend_completions - rhs.backend_completions;
-  out.backend_fallbacks = backend_fallbacks - rhs.backend_fallbacks;
-  return out;
-}
-
-std::string ExecCounters::ToString() const {
-  return util::StrFormat(
-      "passes=%llu chunks=%llu prefetches=%llu (%s) evictions=%llu (%s) "
-      "hits=%llu stalls=%llu (%s) warmup=%llu backend s/c/f=%llu/%llu/%llu",
-      static_cast<unsigned long long>(passes),
-      static_cast<unsigned long long>(chunks),
-      static_cast<unsigned long long>(prefetches),
-      util::HumanBytes(prefetch_bytes).c_str(),
-      static_cast<unsigned long long>(evictions),
-      util::HumanBytes(bytes_evicted).c_str(),
-      static_cast<unsigned long long>(prefetch_hits),
-      static_cast<unsigned long long>(stalls),
-      util::HumanBytes(stall_bytes).c_str(),
-      static_cast<unsigned long long>(prefetch_unclassified),
-      static_cast<unsigned long long>(backend_submits),
-      static_cast<unsigned long long>(backend_completions),
-      static_cast<unsigned long long>(backend_fallbacks));
-}
-
-namespace {
-
-std::mutex& ExecCountersMutex() {
-  static std::mutex* mu = new std::mutex;
-  return *mu;
-}
-
-ExecCounters& ExecCountersStorage() {
-  static ExecCounters* counters = new ExecCounters;
-  return *counters;
-}
-
-/// In-flight pipeline passes; the epoch guard behind the Reset/Set
-/// quiescence contract (io_stats.h).
-std::atomic<uint64_t>& ActivePassCount() {
-  static std::atomic<uint64_t>* count = new std::atomic<uint64_t>{0};
-  return *count;
-}
-
-}  // namespace
-
-// Intentionally relaxed: the pass count is a pure occupancy counter — no
-// other memory is published through it, and the data it guards against
-// (the counter totals) is already ordered by ExecCountersMutex(). Atomic
-// RMWs are coherent at every ordering, so the count itself can never tear
-// or lose increments; relaxed only forgoes ordering unrelated writes,
-// which the quiescence CHECK does not rely on.
-ScopedExecCountersPass::ScopedExecCountersPass() {
-  ActivePassCount().fetch_add(1, std::memory_order_relaxed);
-}
-
-ScopedExecCountersPass::~ScopedExecCountersPass() {
-  ActivePassCount().fetch_sub(1, std::memory_order_relaxed);
-}
-
-uint64_t ActiveExecCountersPasses() {
-  return ActivePassCount().load(std::memory_order_relaxed);
-}
-
-void AddExecCounters(const ExecCounters& delta) {
-  std::lock_guard<std::mutex> lock(ExecCountersMutex());
-  ExecCounters& total = ExecCountersStorage();
-  total.passes += delta.passes;
-  total.chunks += delta.chunks;
-  total.prefetches += delta.prefetches;
-  total.prefetch_bytes += delta.prefetch_bytes;
-  total.evictions += delta.evictions;
-  total.bytes_evicted += delta.bytes_evicted;
-  total.prefetch_hits += delta.prefetch_hits;
-  total.stalls += delta.stalls;
-  total.stall_bytes += delta.stall_bytes;
-  total.prefetch_unclassified += delta.prefetch_unclassified;
-  total.backend_submits += delta.backend_submits;
-  total.backend_completions += delta.backend_completions;
-  total.backend_fallbacks += delta.backend_fallbacks;
-}
-
-ExecCounters GlobalExecCounters() {
-  std::lock_guard<std::mutex> lock(ExecCountersMutex());
-  return ExecCountersStorage();
-}
-
-void ResetExecCounters() {
-  M3_CHECK(ActiveExecCountersPasses() == 0,
-           "ResetExecCounters while %llu pipeline pass(es) in flight — "
-           "snapshots must wait for quiescence (see io/io_stats.h)",
-           static_cast<unsigned long long>(ActiveExecCountersPasses()));
-  std::lock_guard<std::mutex> lock(ExecCountersMutex());
-  ExecCountersStorage() = ExecCounters();
-}
-
-void SetExecCounters(const ExecCounters& value) {
-  M3_CHECK(ActiveExecCountersPasses() == 0,
-           "SetExecCounters while %llu pipeline pass(es) in flight — "
-           "snapshots must wait for quiescence (see io/io_stats.h)",
-           static_cast<unsigned long long>(ActiveExecCountersPasses()));
-  std::lock_guard<std::mutex> lock(ExecCountersMutex());
-  ExecCountersStorage() = value;
 }
 
 FaultCounters FaultCounters::operator-(const FaultCounters& rhs) const {

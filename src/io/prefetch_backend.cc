@@ -15,7 +15,6 @@
 #include <utility>
 #include <vector>
 
-#include "io/io_stats.h"
 #include "io/syscall_injection.h"
 #include "util/format.h"
 #include "util/logging.h"
@@ -693,10 +692,6 @@ PrefetchProbeResult ProbePrefetchEfficacy(const MemoryMappedFile& mapping) {
     }
   }
   PrefetchProbeResult result;
-  // The probe's evictions and faulting reads are measurement plumbing, not
-  // workload: restore the process-wide counters afterwards so bench JSON
-  // reflects only the measured pass (RamBudgetEmulator evictions included).
-  const ExecCounters saved = GlobalExecCounters();
   if (mapping.is_mapped() && mapping.file_backed() && mapping.size() > 0) {
     const uint64_t page = util::PageSize();
     const uint64_t window =
@@ -743,7 +738,6 @@ PrefetchProbeResult ProbePrefetchEfficacy(const MemoryMappedFile& mapping) {
                            ? PrefetchBackendKind::kMadvise
                            : (UringAvailable() ? PrefetchBackendKind::kUring
                                                : PrefetchBackendKind::kPread);
-  SetExecCounters(saved);
   std::lock_guard<std::mutex> lock(ProbeMutex());
   if (!ProbeCache().has_value()) {
     ProbeCache() = result;

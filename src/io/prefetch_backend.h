@@ -197,10 +197,9 @@ struct PrefetchProbeResult {
 /// then times a faulting read; compares against reading the same window
 /// cold. If the advised read is not measurably faster (and the window is
 /// not resident), WILLNEED is a no-op here — `recommended` then prefers
-/// uring (when available) over pread. The probe's own evictions/reads are
-/// invisible to benchmarks: the process-wide io::GlobalExecCounters() are
-/// snapshotted and restored around it, so bench JSON reflects only the
-/// measured pass. The first probed mapping's verdict is cached for the
+/// uring (when available) over pread. The probe calls the mapping
+/// directly, never through a pipeline, so its evictions and reads land in
+/// no PipelineStats. The first probed mapping's verdict is cached for the
 /// process (probing is per-filesystem in principle, per-process in
 /// practice — M3 runs scan one dataset).
 PrefetchProbeResult ProbePrefetchEfficacy(const MemoryMappedFile& mapping);

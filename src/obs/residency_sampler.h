@@ -20,10 +20,10 @@ namespace m3::obs {
 ///   - "residency" / resident_bytes — mincore(2)-resident bytes summed
 ///     over the registered mappings (the time-resolved view of the
 ///     trailing eviction window doing its job);
-///   - "rss" / rss_bytes — process resident set from /proc/self/statm;
-///   - "exec.*" tracks — cumulative io::ExecCounters fields (prefetch
-///     bytes, evicted bytes, stalls, hits), each monotone non-decreasing
-///     so stall bursts line up against the span lanes.
+///   - "rss" / rss_bytes — process resident set from /proc/self/statm.
+///
+/// Prefetch/evict bytes and hit/stall verdicts are not tracks: they are
+/// args on the pipeline's own prefetch, evict, compute and retire spans.
 ///
 /// Mappings register/unregister via ScopedMappingRegistration (a mapping
 /// must outlive its registration — MappedDataset owns one for exactly its

@@ -6,13 +6,15 @@
 #include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <future>
 #include <numeric>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "exec/chunk_map_reduce.h"
 #include "io/file.h"
-#include "io/io_stats.h"
+#include "io/prefetch_backend.h"
 #include "la/chunker.h"
 #include "la/matrix.h"
 #include "ml/kmeans.h"
@@ -245,9 +247,10 @@ class BoundPipelineTest : public ::testing::Test {
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
-  /// Maps a file of `rows` rows of `row_doubles` doubles each.
-  io::MemoryMappedFile MakeMapped(size_t rows, size_t row_doubles) {
-    const std::string path = dir_ + "/data.bin";
+  /// Maps a file `name` of `rows` rows of `row_doubles` doubles each.
+  io::MemoryMappedFile MakeMapped(size_t rows, size_t row_doubles,
+                                  const std::string& name = "data.bin") {
+    const std::string path = dir_ + "/" + name;
     std::vector<double> values(rows * row_doubles);
     std::iota(values.begin(), values.end(), 0.0);
     std::string bytes(reinterpret_cast<const char*>(values.data()),
@@ -345,19 +348,46 @@ TEST_F(BoundPipelineTest, EvictionTrailsTheBudgetWindowExactly) {
   EXPECT_EQ(pipeline.stats().bytes_evicted, (kRows - 20) * kRowBytes);
 }
 
-TEST_F(BoundPipelineTest, PassesReportedToGlobalExecCounters) {
-  io::ResetExecCounters();
+// Building a kAuto pipeline runs the WILLNEED probe, which evicts and
+// re-reads a window of its own mapping. That is legal at any time: a pass
+// another thread has in flight on another pipeline neither blocks it nor
+// is disturbed by it.
+TEST_F(BoundPipelineTest, AutoProbeWhileAnotherPassIsInFlight) {
   const size_t kRows = 512, kRowDoubles = 32;
-  io::MemoryMappedFile mapped = MakeMapped(kRows, kRowDoubles);
-  MappedRegion region{&mapped, 0, kRowDoubles * sizeof(double)};
-  ChunkPipeline pipeline(region, PipelineOptions());
+  io::MemoryMappedFile busy_mapping = MakeMapped(kRows, kRowDoubles);
+  ChunkPipeline busy(
+      MappedRegion{&busy_mapping, 0, kRowDoubles * sizeof(double)},
+      PipelineOptions());
   la::RowChunker chunker(kRows, 64);
-  pipeline.Run(chunker, [](size_t, size_t, size_t) {});
-  pipeline.Run(chunker, [](size_t, size_t, size_t) {});
-  const io::ExecCounters counters = io::GlobalExecCounters();
-  EXPECT_EQ(counters.passes, 2u);
-  EXPECT_EQ(counters.chunks, 2 * chunker.NumChunks());
-  EXPECT_EQ(counters.prefetches, 2 * chunker.NumChunks());
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::thread driver([&] {
+    busy.Run(chunker, [&](size_t chunk, size_t, size_t) {
+      if (chunk == 0) {
+        entered.set_value();
+        released.wait();
+      }
+    });
+  });
+  entered.get_future().wait();  // the pass is in flight, blocked in map
+
+  io::ResetPrefetchProbeCacheForTesting();
+  io::MemoryMappedFile probed = MakeMapped(kRows, kRowDoubles, "probed.bin");
+  PipelineOptions auto_options;
+  auto_options.prefetch_backend = io::PrefetchBackendKind::kAuto;
+  ChunkPipeline probing(
+      MappedRegion{&probed, 0, kRowDoubles * sizeof(double)}, auto_options);
+  ASSERT_NE(probing.prefetch_backend(), nullptr);
+  EXPECT_NE(probing.prefetch_backend()->kind(),
+            io::PrefetchBackendKind::kAuto);
+
+  release.set_value();
+  driver.join();
+  const PipelineStats stats = busy.stats();
+  EXPECT_EQ(stats.passes, 1u);
+  EXPECT_EQ(stats.chunks, chunker.NumChunks());
+  io::ResetPrefetchProbeCacheForTesting();
 }
 
 }  // namespace

@@ -17,7 +17,6 @@
 #include "exec/chunk_map_reduce.h"
 #include "exec/chunk_pipeline.h"
 #include "io/file.h"
-#include "io/io_stats.h"
 #include "io/platform.h"
 #include "la/chunker.h"
 #include "util/sys_info.h"
@@ -229,36 +228,6 @@ TEST_F(PrefetchBackendTest, MapReduceBitwiseIdenticalAcrossBackends) {
           << sum << " vs " << reference;
     }
   }
-}
-
-TEST_F(PrefetchBackendTest, ProbeRestoresGlobalExecCounters) {
-  ResetPrefetchProbeCacheForTesting();
-  ExecCounters marker;
-  marker.evictions = 123;
-  marker.prefetches = 456;
-  const ExecCounters before_probe = GlobalExecCounters();
-  AddExecCounters(marker);
-  const ExecCounters tagged = GlobalExecCounters();
-
-  MemoryMappedFile mapped = MakeMapped("probe.bin", 512 << 10);
-  const PrefetchProbeResult result = ProbePrefetchEfficacy(mapped);
-  // Whatever evictions/reads the probe performed are measurement plumbing:
-  // the process-wide counters are exactly what they were before it ran.
-  const ExecCounters after = GlobalExecCounters();
-  EXPECT_EQ(after.evictions, tagged.evictions);
-  EXPECT_EQ(after.prefetches, tagged.prefetches);
-  EXPECT_EQ(after.bytes_evicted, tagged.bytes_evicted);
-
-  // The verdict recommends something constructible.
-  EXPECT_NE(result.recommended, PrefetchBackendKind::kAuto);
-  // And it is cached: a second call returns the same verdict.
-  const PrefetchProbeResult again = ProbePrefetchEfficacy(mapped);
-  EXPECT_EQ(again.willneed_effective, result.willneed_effective);
-  EXPECT_EQ(again.recommended, result.recommended);
-
-  // Restore the counters this test's own marker perturbed.
-  SetExecCounters(before_probe);
-  ResetPrefetchProbeCacheForTesting();
 }
 
 TEST_F(PrefetchBackendTest, AutoResolvesToConstructibleBackend) {

@@ -76,20 +76,9 @@ TEST(ValidateTraceTest, AcceptsSameSpansOnDifferentThreads) {
   EXPECT_TRUE(status.ok()) << status.ToString();
 }
 
-TEST(ValidateTraceTest, RejectsNonMonotoneExecCounters) {
-  const util::Status status = ValidateTrace(Parse(R"({"traceEvents": [
-    {"ph": "C", "name": "exec.prefetch_bytes", "tid": 1, "ts": 0.0,
-     "args": {"bytes": 100.0}},
-    {"ph": "C", "name": "exec.prefetch_bytes", "tid": 1, "ts": 1.0,
-     "args": {"bytes": 50.0}}
-  ]})"));
-  EXPECT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("monotone"), std::string::npos);
-}
-
 TEST(ValidateTraceTest, GaugeCountersMayDecrease) {
-  // "residency"/"rss" are gauges, not cumulative: only exec.* tracks
-  // carry the monotonicity contract.
+  // "residency"/"rss" are gauges, not cumulative: no counter track
+  // carries a monotonicity contract.
   const util::Status status = ValidateTrace(Parse(R"({"traceEvents": [
     {"ph": "C", "name": "residency", "tid": 1, "ts": 0.0,
      "args": {"resident_bytes": 100.0}},

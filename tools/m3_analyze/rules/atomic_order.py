@@ -3,7 +3,7 @@
 Two sub-checks, one rule family (both emitted under [atomic-order]):
 
 relaxed-needs-why — every `std::memory_order_relaxed` use carries the
-why-relaxed comment convention established in PR 7 (io_stats.cc's
+why-relaxed comment convention (obs/trace_recorder.h's
 "Intentionally relaxed: ..." block is the exemplar): a comment
 containing the word "relaxed" on the same line or within 12 lines
 above. Relaxed is correct exactly when no other memory is published
