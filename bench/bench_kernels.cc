@@ -105,6 +105,21 @@ void BM_AxpyLong(benchmark::State& state) {
 }
 BENCHMARK(BM_AxpyLong)->ArgName("pooled")->Arg(0)->Arg(1)->UseRealTime();
 
+// The L-BFGS dot product: fixed 2^16-element blocks summed across the pool
+// (pooled=1) or one after another inline (pooled=0), same bits either way.
+void BM_DotLong(benchmark::State& state) {
+  const size_t n = size_t{1} << 20;
+  la::Vector x(n, 1.5);
+  la::Vector y(n, 0.5);
+  util::ThreadPool inline_pool(1);
+  util::ThreadPool* pool = state.range(0) != 0 ? nullptr : &inline_pool;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(la::Dot(x, y, pool));
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(n) * 16);
+}
+BENCHMARK(BM_DotLong)->ArgName("pooled")->Arg(0)->Arg(1)->UseRealTime();
+
 template <bool kMapped>
 void BM_GemvBacking(benchmark::State& state) {
   const size_t rows = static_cast<size_t>(state.range(0));

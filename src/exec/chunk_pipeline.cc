@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <future>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -488,17 +489,20 @@ void ChunkPipeline::Run(const la::Chunker& chunker,
   if (io_pool_ != nullptr) {
     io_pool_->Wait();  // settle outstanding prefetches/evictions
   }
-  PipelineStats snapshot;
+  // The snapshot (histograms included) is taken only for the trace.
+  std::optional<PipelineStats> snapshot;
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.passes;
     stats_.chunks += chunker.NumChunks();
     stats_.drive_seconds += watch.ElapsedSeconds();
-    snapshot = stats_;
+    if (obs::TracingEnabled()) {
+      snapshot = stats_;
+    }
   }
-  if (obs::TracingEnabled()) {
+  if (snapshot.has_value()) {
     // Same serialization the bench JSON emits, so a trace is self-describing.
-    obs::TraceRecorder::Get().SetMetadata("pipeline_stats", snapshot.ToJson());
+    obs::TraceRecorder::Get().SetMetadata("pipeline_stats", snapshot->ToJson());
   }
 }
 

@@ -43,15 +43,20 @@ double PipelineStats::PrefetchHitRate() const {
 }
 
 std::string PipelineStats::ToString() const {
+  // No chunk raced means no hit rate at all, not a rate of 0%.
+  const std::string hit =
+      prefetch_hits + stalls == 0
+          ? "n/a"
+          : util::StrFormat("%.0f%%", PrefetchHitRate() * 100.0);
   return util::StrFormat(
-      "passes=%llu chunks=%llu prefetch=%llu (%s, hit %.0f%%) stalls=%llu "
+      "passes=%llu chunks=%llu prefetch=%llu (%s, hit %s) stalls=%llu "
       "(%s) warmup=%llu evict=%llu (%s) backend s/c/f=%llu/%llu/%llu "
       "stage s: drive=%.3f compute=%.3f "
       "retire=%.3f prefetch=%.3f evict=%.3f",
       static_cast<unsigned long long>(passes),
       static_cast<unsigned long long>(chunks),
       static_cast<unsigned long long>(prefetches),
-      util::HumanBytes(prefetch_bytes).c_str(), PrefetchHitRate() * 100.0,
+      util::HumanBytes(prefetch_bytes).c_str(), hit.c_str(),
       static_cast<unsigned long long>(stalls),
       util::HumanBytes(stall_bytes).c_str(),
       static_cast<unsigned long long>(prefetch_unclassified),

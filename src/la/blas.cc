@@ -20,19 +20,60 @@ void ForEachBlock(size_t n, util::ThreadPool* pool, const Fn& fn) {
   util::ParallelFor(0, n, kParallelKernelMinLength, fn, pool);
 }
 
-}  // namespace
-
-double Dot(ConstVectorView x, ConstVectorView y) {
-  M3_CHECK(x.size() == y.size(), "Dot size mismatch %zu vs %zu", x.size(),
-           y.size());
-  double acc = 0.0;
-  const size_t n = x.size();
-  const double* px = x.data();
-  const double* py = y.data();
-  for (size_t i = 0; i < n; ++i) {
-    acc += px[i] * py[i];
+/// Fixed-block reduction: block b covers [b * K, min(n, (b + 1) * K)) with
+/// K = kParallelKernelMinLength, so the blocks depend on n only.
+/// block_fn(lo, hi) reduces one block serially; the blocks fan out across
+/// the pool like ForEachBlock, and their results are folded with `combine`
+/// in block order on the calling thread. Every pool size gives the same
+/// bits, and n <= K is one block: the serial loop itself.
+template <typename BlockFn, typename Combine>
+double ReduceBlocks(size_t n, util::ThreadPool* pool, const BlockFn& block_fn,
+                    const Combine& combine) {
+  constexpr size_t kBlock = kParallelKernelMinLength;
+  if (n <= kBlock) {
+    return block_fn(0, n);
+  }
+  const size_t num_blocks = (n + kBlock - 1) / kBlock;
+  std::vector<double> results(num_blocks);
+  const auto run = [&](size_t b_lo, size_t b_hi) {
+    for (size_t b = b_lo; b < b_hi; ++b) {
+      results[b] = block_fn(b * kBlock, std::min(n, (b + 1) * kBlock));
+    }
+  };
+  if (util::ThreadPool::InWorkerThread()) {
+    run(0, num_blocks);
+  } else {
+    util::ParallelFor(0, num_blocks, /*grain=*/1, run, pool);
+  }
+  double acc = results[0];
+  for (size_t b = 1; b < num_blocks; ++b) {
+    acc = combine(acc, results[b]);
   }
   return acc;
+}
+
+/// ReduceBlocks adding the block sums. Each block sum starts at +0.0 and so
+/// is never -0.0: adding it to an empty total is exact.
+template <typename BlockFn>
+double SumBlocks(size_t n, util::ThreadPool* pool, const BlockFn& block_fn) {
+  return ReduceBlocks(n, pool, block_fn,
+                      [](double a, double b) { return a + b; });
+}
+
+}  // namespace
+
+double Dot(ConstVectorView x, ConstVectorView y, util::ThreadPool* pool) {
+  M3_CHECK(x.size() == y.size(), "Dot size mismatch %zu vs %zu", x.size(),
+           y.size());
+  const double* px = x.data();
+  const double* py = y.data();
+  return SumBlocks(x.size(), pool, [=](size_t lo, size_t hi) {
+    double acc = 0.0;
+    for (size_t i = lo; i < hi; ++i) {
+      acc += px[i] * py[i];
+    }
+    return acc;
+  });
 }
 
 void Axpy(double alpha, ConstVectorView x, VectorView y,
@@ -49,19 +90,20 @@ void Axpy(double alpha, ConstVectorView x, VectorView y,
 }
 
 double AxpyDot(double alpha, ConstVectorView x, VectorView y,
-               ConstVectorView z) {
+               ConstVectorView z, util::ThreadPool* pool) {
   M3_CHECK(x.size() == y.size() && z.size() == y.size(),
            "AxpyDot size mismatch");
-  const size_t n = x.size();
   const double* px = x.data();
   double* py = y.data();
   const double* pz = z.data();
-  double acc = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    py[i] += alpha * px[i];
-    acc += pz[i] * py[i];
-  }
-  return acc;
+  return SumBlocks(x.size(), pool, [=](size_t lo, size_t hi) {
+    double acc = 0.0;
+    for (size_t i = lo; i < hi; ++i) {
+      py[i] += alpha * px[i];
+      acc += pz[i] * py[i];
+    }
+    return acc;
+  });
 }
 
 void Scal(double alpha, VectorView x, util::ThreadPool* pool) {
@@ -73,35 +115,48 @@ void Scal(double alpha, VectorView x, util::ThreadPool* pool) {
   });
 }
 
-double Nrm2(ConstVectorView x) { return std::sqrt(Dot(x, x)); }
-
-double Sum(ConstVectorView x) {
-  double acc = 0.0;
-  for (double v : x) {
-    acc += v;
-  }
-  return acc;
+double Nrm2(ConstVectorView x, util::ThreadPool* pool) {
+  return std::sqrt(Dot(x, x, pool));
 }
 
-double AbsMax(ConstVectorView x) {
-  double best = 0.0;
-  for (double v : x) {
-    best = std::max(best, std::fabs(v));
-  }
-  return best;
+double Sum(ConstVectorView x, util::ThreadPool* pool) {
+  const double* px = x.data();
+  return SumBlocks(x.size(), pool, [=](size_t lo, size_t hi) {
+    double acc = 0.0;
+    for (size_t i = lo; i < hi; ++i) {
+      acc += px[i];
+    }
+    return acc;
+  });
 }
 
-double SquaredDistance(ConstVectorView x, ConstVectorView y) {
+double AbsMax(ConstVectorView x, util::ThreadPool* pool) {
+  const double* px = x.data();
+  return ReduceBlocks(
+      x.size(), pool,
+      [=](size_t lo, size_t hi) {
+        double best = 0.0;
+        for (size_t i = lo; i < hi; ++i) {
+          best = std::max(best, std::fabs(px[i]));
+        }
+        return best;
+      },
+      [](double a, double b) { return std::max(a, b); });
+}
+
+double SquaredDistance(ConstVectorView x, ConstVectorView y,
+                       util::ThreadPool* pool) {
   M3_CHECK(x.size() == y.size(), "SquaredDistance size mismatch");
-  double acc = 0.0;
-  const size_t n = x.size();
   const double* px = x.data();
   const double* py = y.data();
-  for (size_t i = 0; i < n; ++i) {
-    const double d = px[i] - py[i];
-    acc += d * d;
-  }
-  return acc;
+  return SumBlocks(x.size(), pool, [=](size_t lo, size_t hi) {
+    double acc = 0.0;
+    for (size_t i = lo; i < hi; ++i) {
+      const double d = px[i] - py[i];
+      acc += d * d;
+    }
+    return acc;
+  });
 }
 
 void Copy(ConstVectorView x, VectorView out, util::ThreadPool* pool) {

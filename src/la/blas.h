@@ -20,37 +20,49 @@ namespace m3::la {
 /// across `pool` (the global pool by default). Shorter vectors, one-thread
 /// pools and calls made on a pool worker run inline. Each element sees the
 /// serial loop's operations, so every partition gives the same bits.
+///
+/// It is also the block of the reductions (Dot, AxpyDot, Nrm2, Sum, AbsMax,
+/// SquaredDistance): a vector is cut into fixed blocks of this length, so
+/// the cuts depend on its length only. Each block is reduced by the serial
+/// single-accumulator loop starting at +0.0, the blocks fan out like the
+/// elementwise kernels, and the calling thread adds the block results in
+/// block order. A vector of at most this length is one block, reduced
+/// exactly as the plain serial loop; any vector gets the same bits at any
+/// pool size.
 inline constexpr size_t kParallelKernelMinLength = size_t{1} << 16;
 
-/// \brief Returns x . y. \pre x.size() == y.size().
-///
-/// Always serial: a split reduction would change the summation order.
-double Dot(ConstVectorView x, ConstVectorView y);
+/// \brief Returns x . y, reduced in fixed blocks (see
+/// kParallelKernelMinLength). \pre x.size() == y.size().
+double Dot(ConstVectorView x, ConstVectorView y,
+           util::ThreadPool* pool = nullptr);
 
 /// \brief y += alpha * x. \pre x.size() == y.size().
 void Axpy(double alpha, ConstVectorView x, VectorView y,
           util::ThreadPool* pool = nullptr);
 
-/// \brief y += alpha * x, then returns z . y (the updated y), in one serial
-/// pass: the bits of Axpy(alpha, x, y) followed by Dot(z, y), without a
-/// second trip over y. \pre all three sizes agree.
+/// \brief y += alpha * x, then returns z . y (the updated y), in one pass
+/// per block: the bits of Axpy(alpha, x, y) followed by Dot(z, y), without
+/// a second trip over y. \pre all three sizes agree.
 double AxpyDot(double alpha, ConstVectorView x, VectorView y,
-               ConstVectorView z);
+               ConstVectorView z, util::ThreadPool* pool = nullptr);
 
 /// \brief x *= alpha.
 void Scal(double alpha, VectorView x, util::ThreadPool* pool = nullptr);
 
-/// \brief Euclidean norm of x.
-double Nrm2(ConstVectorView x);
+/// \brief Euclidean norm of x: sqrt(Dot(x, x)).
+double Nrm2(ConstVectorView x, util::ThreadPool* pool = nullptr);
 
-/// \brief Sum of elements of x.
-double Sum(ConstVectorView x);
+/// \brief Sum of elements of x, reduced in fixed blocks like Dot.
+double Sum(ConstVectorView x, util::ThreadPool* pool = nullptr);
 
-/// \brief Largest absolute element of x (0 for empty).
-double AbsMax(ConstVectorView x);
+/// \brief Largest absolute element of x (0 for empty). Exact in any order;
+/// pooled in the same fixed blocks as Dot.
+double AbsMax(ConstVectorView x, util::ThreadPool* pool = nullptr);
 
-/// \brief || x - y ||^2 without forming the difference.
-double SquaredDistance(ConstVectorView x, ConstVectorView y);
+/// \brief || x - y ||^2 without forming the difference, reduced in fixed
+/// blocks like Dot.
+double SquaredDistance(ConstVectorView x, ConstVectorView y,
+                       util::ThreadPool* pool = nullptr);
 
 /// \brief out = x (element copy). \pre same size.
 void Copy(ConstVectorView x, VectorView out, util::ThreadPool* pool = nullptr);

@@ -15,11 +15,13 @@ namespace m3::la {
 /// pointer+shape wrapper over three parallel arrays (`row_ptr`,
 /// `col_idx`, `values`), so a view over heap memory and a view over an
 /// mmap'd CSR file are indistinguishable to the kernels. Kernels are
-/// deliberately simple sequential loops, exactly like the dense ones in
-/// blas.h: a sparse dot over a row's nonzeros performs the same additions
-/// in the same order as a dense dot over the densified row (the zero
-/// terms it skips are additive identities), which is what lets the
-/// conformance suite pin sparse-vs-dense agreement to the last ulp.
+/// deliberately simple sequential loops over a row's nonzeros that mirror
+/// the dense ones in blas.h. A sparse dot performs the same additions in
+/// the same order as la::Dot over the densified row: for w longer than
+/// la::kParallelKernelMinLength it sums the stored entries of each of
+/// Dot's fixed blocks and adds the block sums in block order, and the zero
+/// terms and empty blocks it skips are additive identities. That is what
+/// lets the conformance suite pin sparse-vs-dense agreement to the last ulp.
 
 /// \brief One CSR row: parallel column-index / value arrays of its
 /// stored nonzeros. Column indices are strictly increasing.
@@ -73,9 +75,9 @@ class CsrView {
 
 /// \brief Sparse dot product: sum_k x.values[k] * w[x.cols[k]].
 ///
-/// Accumulates in index order with no unrolling, mirroring la::Dot — the
-/// bitwise twin of Dot(densify(x), w) for any w whose extra entries
-/// multiply zeros.
+/// Accumulates in index order with no unrolling, in la::Dot's fixed blocks
+/// when w is longer than one block — the bitwise twin of
+/// Dot(densify(x), w) for any w whose extra entries multiply zeros.
 double SparseDot(const SparseRowView& x, ConstVectorView w);
 
 /// \brief Sparse axpy into a dense vector: y[x.cols[k]] += alpha *

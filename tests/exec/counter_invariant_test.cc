@@ -174,6 +174,25 @@ TEST(ExecCounterArithmeticTest, UnclassifiedFlowsThroughConversions) {
   EXPECT_EQ(parsed.value().prefetch_hits, 12u);
 }
 
+TEST(ExecCounterArithmeticTest, HitRateIsAbsentWhenNoChunkRaced) {
+  // Every prefetch was warm-up: there is no race to report a rate for.
+  PipelineStats warmup_only;
+  warmup_only.prefetches = 48;
+  warmup_only.prefetch_unclassified = 48;
+  EXPECT_NE(warmup_only.ToString().find("hit n/a)"), std::string::npos)
+      << warmup_only.ToString();
+
+  PipelineStats all_stalled = warmup_only;
+  all_stalled.stalls = 4;
+  EXPECT_NE(all_stalled.ToString().find("hit 0%)"), std::string::npos)
+      << all_stalled.ToString();
+
+  PipelineStats mixed = all_stalled;
+  mixed.prefetch_hits = 12;
+  EXPECT_NE(mixed.ToString().find("hit 75%)"), std::string::npos)
+      << mixed.ToString();
+}
+
 // ---------------------------------------------------------------------------
 // Retire-stage race sampling (RaceStage::kRetire)
 // ---------------------------------------------------------------------------

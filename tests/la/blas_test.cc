@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -234,7 +235,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 bool SameBits(ConstVectorView a, ConstVectorView b) {
   return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+         (a.size() == 0 ||  // an empty view's data() may be null
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
 /// Lengths around the fan-out threshold, plus ones that split unevenly.
@@ -345,6 +347,151 @@ TEST_P(PooledKernelTest, NestedCallsFromPoolTasksRunInline) {
   for (const Vector& copy : copies) {
     EXPECT_TRUE(SameBits(copy, Vector(n, 4.0)));
   }
+}
+
+// ---------------------------------------------------------------------------
+// Reductions: fixed blocks of kParallelKernelMinLength, summed in block order
+// ---------------------------------------------------------------------------
+
+/// Hand-written fixed-block reference: each block of kParallelKernelMinLength
+/// terms summed from +0.0 by one accumulator, the block sums added in order.
+template <typename Term>
+double FixedBlockSum(size_t n, const Term& term) {
+  const size_t block = kParallelKernelMinLength;
+  double total = 0.0;
+  for (size_t lo = 0; lo < n; lo += block) {
+    double sum = 0.0;
+    for (size_t i = lo; i < std::min(n, lo + block); ++i) {
+      sum += term(i);
+    }
+    total += sum;
+  }
+  return total;
+}
+
+/// The single-accumulator loop the reductions ran before they were blocked.
+template <typename Term>
+double SerialSum(size_t n, const Term& term) {
+  double acc = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    acc += term(i);
+  }
+  return acc;
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// Operands of one reduction check, with the expected results built by
+/// `sum` (FixedBlockSum or SerialSum) from plain loops.
+struct ReductionCase {
+  Vector x, y, z;
+  double alpha = 0;
+  Vector axpy_y;  // y + alpha * x, the y AxpyDot leaves behind
+  double dot = 0, axpy_dot = 0, nrm2 = 0, sum = 0, sqdist = 0, absmax = 0;
+
+  template <typename SumFn>
+  ReductionCase(size_t n, uint64_t seed, const SumFn& reduce) {
+    util::Rng rng(seed);
+    x = RandomVector(n, &rng);
+    y = RandomVector(n, &rng);
+    z = RandomVector(n, &rng);
+    alpha = rng.Uniform(-3.0, 3.0);
+    if (n > 0) {
+      x[n - 1] = -7.5;  // the largest magnitude, negative, in the last block
+    }
+    axpy_y = y;
+    for (size_t i = 0; i < n; ++i) {
+      axpy_y[i] += alpha * x[i];
+    }
+    dot = reduce(n, [&](size_t i) { return x[i] * y[i]; });
+    axpy_dot = reduce(n, [&](size_t i) { return z[i] * axpy_y[i]; });
+    nrm2 = std::sqrt(reduce(n, [&](size_t i) { return x[i] * x[i]; }));
+    sum = reduce(n, [&](size_t i) { return x[i]; });
+    sqdist = reduce(n, [&](size_t i) {
+      const double d = x[i] - y[i];
+      return d * d;
+    });
+    for (size_t i = 0; i < n; ++i) {
+      absmax = std::max(absmax, std::fabs(x[i]));
+    }
+  }
+
+  /// Runs every reduction on `pool` and reports the first mismatch.
+  std::string Check(util::ThreadPool* pool) const {
+    Vector fused_y = y;
+    const double got_axpy_dot = AxpyDot(alpha, x, fused_y, z, pool);
+    std::string bad;
+    if (!SameBits(Dot(x, y, pool), dot)) bad += " Dot";
+    if (!SameBits(got_axpy_dot, axpy_dot)) bad += " AxpyDot";
+    if (!SameBits(fused_y, axpy_y)) bad += " AxpyDot(y)";
+    if (!SameBits(Nrm2(x, pool), nrm2)) bad += " Nrm2";
+    if (!SameBits(Sum(x, pool), sum)) bad += " Sum";
+    if (!SameBits(SquaredDistance(x, y, pool), sqdist)) bad += " SqDist";
+    if (!SameBits(AbsMax(x, pool), absmax)) bad += " AbsMax";
+    return bad;
+  }
+};
+
+std::vector<size_t> ReductionLengths() {
+  const size_t t = kParallelKernelMinLength;
+  return {t - 1, t, t + 1, 5 * t + 3};
+}
+
+TEST_P(PooledKernelTest, ReductionsMatchFixedBlockReferenceBitwise) {
+  for (const size_t n : ReductionLengths()) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const ReductionCase c(n, 150 + n, [](size_t len, const auto& term) {
+      return FixedBlockSum(len, term);
+    });
+    EXPECT_EQ(c.Check(&pool_), "");
+    EXPECT_EQ(c.Check(nullptr), "") << "global pool";
+  }
+}
+
+TEST_P(PooledKernelTest, ReductionsInsidePoolTasksMatchFixedBlockReference) {
+  // Every worker is busy in a task that calls the reductions on the same
+  // pool: they run inline there, with the same blocks and the same bits.
+  const size_t n = 5 * kParallelKernelMinLength + 3;
+  const ReductionCase c(n, 170, [](size_t len, const auto& term) {
+    return FixedBlockSum(len, term);
+  });
+  const size_t tasks = pool_.num_threads();
+  std::vector<std::string> bad(tasks);
+  util::ParallelForIndexed(
+      0, tasks, 1,
+      [&](size_t task, size_t, size_t) { bad[task] = c.Check(&pool_); },
+      &pool_);
+  for (const std::string& b : bad) {
+    EXPECT_EQ(b, "");
+  }
+}
+
+TEST(ReductionTest, OneBlockIsTheSerialLoopBitwise) {
+  for (const size_t n : {size_t{0}, size_t{1}, size_t{784}, size_t{1} << 14,
+                         kParallelKernelMinLength - 1,
+                         kParallelKernelMinLength}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const ReductionCase c(n, 190 + n, [](size_t len, const auto& term) {
+      return SerialSum(len, term);
+    });
+    EXPECT_EQ(c.Check(nullptr), "");
+  }
+}
+
+TEST(ReductionTest, ManyBlocksDifferFromTheSerialLoop) {
+  // The fixed-block checks above have teeth: past one block the blocked
+  // sums of this data are not the serial loop's bits.
+  const size_t n = 5 * kParallelKernelMinLength + 3;
+  const ReductionCase blocked(n, 150 + n, [](size_t len, const auto& term) {
+    return FixedBlockSum(len, term);
+  });
+  const ReductionCase serial(n, 150 + n, [](size_t len, const auto& term) {
+    return SerialSum(len, term);
+  });
+  EXPECT_FALSE(SameBits(blocked.dot, serial.dot));
+  EXPECT_FALSE(SameBits(blocked.sum, serial.sum));
 }
 
 INSTANTIATE_TEST_SUITE_P(PoolSizes, PooledKernelTest,

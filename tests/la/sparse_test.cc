@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "la/blas.h"
@@ -133,6 +134,106 @@ TEST(SparseDotTest, BitwiseMatchesDenseDotOnDensifiedRows) {
     EXPECT_TRUE(BitwiseEqual(sparse, reference))
         << "row " << r << ": " << sparse << " vs " << reference;
   }
+}
+
+/// Appends one row of (column, value) entries, columns ascending.
+void AddRow(Csr* csr, const std::vector<std::pair<size_t, double>>& entries) {
+  for (const auto& [c, v] : entries) {
+    csr->col_idx.push_back(static_cast<uint32_t>(c));
+    csr->values.push_back(v);
+  }
+  csr->row_ptr.push_back(csr->col_idx.size());
+}
+
+/// Appends `rows` random rows of up to `max_nnz` entries.
+void AddRandomRows(Csr* csr, size_t rows, size_t max_nnz, uint64_t seed) {
+  const Csr random = RandomCsr(rows, csr->cols, max_nnz, seed);
+  for (size_t r = 0; r < rows; ++r) {
+    const SparseRowView row = random.View(rows).Row(r);
+    std::vector<std::pair<size_t, double>> entries;
+    for (size_t k = 0; k < row.nnz; ++k) {
+      entries.emplace_back(row.cols[k], row.values[k]);
+    }
+    AddRow(csr, entries);
+  }
+}
+
+/// Checks SparseDot(row, w) against Dot(densify(row), w) bitwise for every
+/// row; returns how many rows a serial sum over the stored entries gets
+/// wrong, i.e. how many rows the fixed blocks actually change.
+size_t ExpectBlockedDotTwins(const Csr& csr, ConstVectorView w) {
+  const size_t rows = csr.row_ptr.size() - 1;
+  const CsrView view = csr.View(rows);
+  Vector dense(csr.cols);
+  size_t blocked_rows = 0;
+  for (size_t r = 0; r < rows; ++r) {
+    const SparseRowView row = view.Row(r);
+    DensifyRow(row, dense.View());
+    const double sparse = SparseDot(row, w);
+    const double reference = Dot(dense, w);
+    EXPECT_TRUE(BitwiseEqual(sparse, reference))
+        << "row " << r << ": " << sparse << " vs " << reference;
+    double serial = 0.0;
+    for (size_t k = 0; k < row.nnz; ++k) {
+      serial += row.values[k] * w[row.cols[k]];
+    }
+    blocked_rows += BitwiseEqual(serial, reference) ? 0 : 1;
+  }
+  return blocked_rows;
+}
+
+TEST(SparseDotTest, BitwiseMatchesBlockedDenseDotOnWideRows) {
+  // Past la::kParallelKernelMinLength Dot sums fixed blocks and adds the
+  // block sums in order; SparseDot must mirror those blocks.
+  const size_t b = kParallelKernelMinLength;
+  Csr csr;
+  csr.cols = 2 * b + 7;
+  Vector w = RandomVector(csr.cols, /*seed=*/31);  // negative entries too
+  // Signed zeros in w: a positive value times -0.0 (or a negative value
+  // times +0.0) is a -0.0 product.
+  for (const size_t c : {size_t{10}, b + 3, b + 9, 2 * b + 1}) {
+    w[c] = -0.0;
+  }
+  w[b + 5] = 0.0;
+
+  AddRow(&csr, {{5, 0.5}, {100, -1.25}, {b - 1, 2.0}});  // one block
+  AddRow(&csr, {{b - 6, 1.5}, {b, -0.75}, {b + 40, 3.0}, {2 * b - 1, -2.0},
+                {2 * b, 1.0}, {2 * b + 6, 0.25}});      // spans all three
+  AddRow(&csr, {{b + 1, 0.375}, {b + 100, -1.5}});      // starts past 0
+  AddRow(&csr, {{2 * b + 2, 1.75}, {2 * b + 6, -0.5}});  // last block only
+  AddRow(&csr, {});                                      // empty
+  AddRow(&csr, {{b + 3, 2.0}, {b + 5, -1.0}, {b + 9, 0.5}});  // only -0.0
+  AddRow(&csr, {{10, 1.0}, {b + 3, 4.0}, {2 * b + 1, 1.5},
+                {2 * b + 4, -0.125}});  // -0.0 products among others
+  AddRandomRows(&csr, 40, 30, /*seed=*/41);
+
+  EXPECT_GT(ExpectBlockedDotTwins(csr, w), 0u);
+  const CsrView view = csr.View(csr.row_ptr.size() - 1);
+  EXPECT_TRUE(BitwiseEqual(SparseDot(view.Row(4), w), 0.0));  // empty
+  EXPECT_TRUE(BitwiseEqual(SparseDot(view.Row(5), w), 0.0));  // not -0.0
+}
+
+TEST(SparseDotTest, BitwiseMatchesBlockedDenseDotAcrossManyBlocks) {
+  // Rows spanning dozens of blocks, with gaps of many empty blocks.
+  const size_t b = kParallelKernelMinLength;
+  Csr csr;
+  csr.cols = 40 * b + 3;
+  const Vector w = RandomVector(csr.cols, /*seed=*/51);
+  std::vector<std::pair<size_t, double>> every_block;
+  for (size_t block = 0; block < 41; ++block) {
+    every_block.emplace_back(block * b, 0.5 + static_cast<double>(block));
+    if (block < 40) {
+      every_block.emplace_back(block * b + b / 2, -1.25);
+    }
+  }
+  AddRow(&csr, every_block);
+  AddRow(&csr, {{3, 1.0}, {15 * b + 2, -2.0}, {16 * b, 0.75},
+                {17 * b + 9, 1.5}, {33 * b, -0.5}, {40 * b + 2, 2.5}});
+  AddRow(&csr, {{5 * b + 1, 1.0}, {20 * b, -3.0}, {21 * b, 0.125},
+                {39 * b, 1.0}});
+  AddRow(&csr, {{36 * b + 4, -1.0}, {40 * b, 2.0}});
+  AddRandomRows(&csr, 30, 200, /*seed=*/61);
+  EXPECT_GT(ExpectBlockedDotTwins(csr, w), 0u);
 }
 
 TEST(SparseAxpyTest, BitwiseMatchesDenseAxpyOnDensifiedRows) {
