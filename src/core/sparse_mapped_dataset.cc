@@ -88,13 +88,27 @@ Result<MappedSparseDataset> MappedSparseDataset::Open(const std::string& path,
         static_cast<unsigned long long>(row_ptr[meta.rows]),
         static_cast<unsigned long long>(meta.nnz), path.c_str()));
   }
-  for (uint64_t k = 0; k < meta.nnz; ++k) {
-    if (col_idx[k] >= meta.cols) {
-      return Status::InvalidArgument(util::StrFormat(
-          "sparse dataset col_idx[%llu] = %u out of %llu columns: %s",
-          static_cast<unsigned long long>(k),
-          static_cast<unsigned>(col_idx[k]),
-          static_cast<unsigned long long>(meta.cols), path.c_str()));
+  // The kernels index w by column and la::SparseDot walks a row's columns
+  // as ascending blocks, so both halves of the format's column rule are
+  // checked: in range, and strictly increasing within each row.
+  for (uint64_t r = 0; r < meta.rows; ++r) {
+    for (uint64_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
+      if (col_idx[k] >= meta.cols) {
+        return Status::InvalidArgument(util::StrFormat(
+            "sparse dataset col_idx[%llu] = %u out of %llu columns: %s",
+            static_cast<unsigned long long>(k),
+            static_cast<unsigned>(col_idx[k]),
+            static_cast<unsigned long long>(meta.cols), path.c_str()));
+      }
+      if (k > row_ptr[r] && col_idx[k] <= col_idx[k - 1]) {
+        return Status::InvalidArgument(util::StrFormat(
+            "sparse dataset row %llu columns not strictly increasing "
+            "(col_idx[%llu] = %u after %u): %s",
+            static_cast<unsigned long long>(r),
+            static_cast<unsigned long long>(k),
+            static_cast<unsigned>(col_idx[k]),
+            static_cast<unsigned>(col_idx[k - 1]), path.c_str()));
+      }
     }
   }
   MappedSparseDataset dataset(

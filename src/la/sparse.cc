@@ -1,49 +1,29 @@
 #include "la/sparse.h"
 
-#include <algorithm>
-
 #include "la/blas.h"
 
 namespace m3::la {
 
 double SparseDot(const SparseRowView& x, ConstVectorView w) {
-  if (w.size() <= kParallelKernelMinLength) {
-    // One block: the plain serial loop.
-    double sum = 0.0;
-    for (size_t k = 0; k < x.nnz; ++k) {
-      sum += x.values[k] * w[x.cols[k]];
-    }
-    return sum;
-  }
-  // Dot's fixed blocks: each block's stored entries are summed from +0.0,
-  // and the block sums are added in block order. Up to kSpan blocks at a
-  // time get their own accumulators, so entries in different blocks do not
-  // wait on one another (a branch at every block change costs more than
-  // the extra additions). A block without entries adds +0.0 to a total
-  // that is never -0.0, so it is exact to skip it or to add it.
+  // Dot's fixed blocks: the stored entries of each block are summed from
+  // +0.0, and a block's sum joins the total when the row leaves the block,
+  // so block sums are added in block order. A skipped empty block would add
+  // +0.0 to a total that is never -0.0, an identity. For w of at most one
+  // block this is the plain serial loop.
   constexpr size_t kBlock = kParallelKernelMinLength;
-  constexpr size_t kSpan = 16;
-  const uint32_t* cols = x.cols;
   double total = 0.0;
-  size_t k = 0;
-  while (k < x.nnz) {
-    const size_t first = cols[k] / kBlock;
-    const size_t limit = (first + kSpan) * kBlock;
-    const size_t end =
-        cols[x.nnz - 1] < limit
-            ? x.nnz
-            : static_cast<size_t>(
-                  std::lower_bound(cols + k, cols + x.nnz, limit) - cols);
-    double sums[kSpan] = {};
-    for (; k < end; ++k) {
-      sums[cols[k] / kBlock - first] += x.values[k] * w[cols[k]];
+  double sum = 0.0;
+  size_t block = 0;
+  for (size_t k = 0; k < x.nnz; ++k) {
+    const size_t b = x.cols[k] / kBlock;
+    if (b != block) {
+      total += sum;
+      sum = 0.0;
+      block = b;
     }
-    const size_t used = cols[end - 1] / kBlock - first + 1;
-    for (size_t b = 0; b < used; ++b) {
-      total += sums[b];
-    }
+    sum += x.values[k] * w[x.cols[k]];
   }
-  return total;
+  return total + sum;
 }
 
 void SparseAxpy(double alpha, const SparseRowView& x, VectorView y) {

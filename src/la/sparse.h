@@ -35,9 +35,10 @@ struct SparseRowView {
 ///
 /// `row_ptr` holds `rows + 1` monotone offsets into `col_idx`/`values`;
 /// row r's nonzeros live at [row_ptr[r], row_ptr[r+1]). The view trusts
-/// its invariants (monotone row_ptr, col_idx < cols) — the validating
-/// reader in core/sparse_mapped_dataset.h establishes them for mmap'd
-/// data before a view is ever handed out.
+/// its invariants (monotone row_ptr, col_idx < cols, strictly increasing
+/// columns within a row) — the validating reader in
+/// core/sparse_mapped_dataset.h establishes them for mmap'd data before a
+/// view is ever handed out.
 class CsrView {
  public:
   CsrView() = default;

@@ -20,6 +20,7 @@
 #include "core/sparse_mapped_dataset.h"
 #include "data/sparse_dataset.h"
 #include "io/file.h"
+#include "la/sparse.h"
 #include "util/random.h"
 #include "util/status.h"
 
@@ -60,13 +61,18 @@ class SparseFormatFuzzTest : public ::testing::Test {
     // the view the way a training scan would.
     const la::CsrView csr = opened.value().csr();
     EXPECT_EQ(csr.nnz(), opened.value().nnz());
+    const std::vector<double> w(csr.cols(), 1.0);
     double sink = 0;
     for (size_t r = 0; r < csr.rows(); ++r) {
       const la::SparseRowView row = csr.Row(r);
       for (size_t k = 0; k < row.nnz; ++k) {
         EXPECT_LT(row.cols[k], csr.cols());
+        if (k > 0) {
+          EXPECT_GT(row.cols[k], row.cols[k - 1]);
+        }
         sink += row.values[k];
       }
+      sink += la::SparseDot(row, la::ConstVectorView(w.data(), w.size()));
     }
     (void)sink;
     return util::Status();
@@ -200,6 +206,41 @@ TEST_F(SparseFormatFuzzTest, OutOfRangeColIdxRejected) {
   std::memcpy(bytes.data() + meta_.col_idx_offset + 4 * (meta_.nnz / 2),
               &bad, sizeof(bad));
   ExpectRejected(bytes, "colidx_oob.m3s");
+}
+
+// Columns must be strictly increasing within a row: la::SparseDot walks a
+// row as ascending blocks of 2^16 columns, so the width here spans several
+// blocks and the damaged rows step backwards across and within them.
+TEST_F(SparseFormatFuzzTest, UnsortedOrRepeatedColumnsRejected) {
+  const std::string wide_path = dir_ + "/wide.m3s";
+  SparseSyntheticOptions options;
+  options.rows = 8;
+  options.cols = 3 * (uint64_t{1} << 16) + 5;
+  options.nnz_per_row = 6;
+  options.seed = 11;
+  ASSERT_TRUE(GenerateSparseDataset(wide_path, options).ok());
+  const std::string wide_bytes = io::ReadFileToString(wide_path).ValueOrDie();
+  const SparseDatasetMeta meta = ReadSparseDatasetMeta(wide_path).ValueOrDie();
+  ASSERT_TRUE(TryOpen(wide_bytes, "wide_ok.m3s").ok());
+
+  std::vector<uint64_t> row_ptr(meta.rows + 1);
+  std::memcpy(row_ptr.data(), wide_bytes.data() + meta.row_ptr_offset,
+              8 * row_ptr.size());
+  uint64_t row = 0;
+  while (row < meta.rows && row_ptr[row + 1] - row_ptr[row] < 2) {
+    ++row;
+  }
+  ASSERT_LT(row, meta.rows) << "no row with two entries to damage";
+  const size_t first = meta.col_idx_offset + 4 * row_ptr[row];
+  const auto with_cols = [&](uint32_t a, uint32_t b) {
+    std::string bytes = wide_bytes;
+    std::memcpy(bytes.data() + first, &a, sizeof(a));
+    std::memcpy(bytes.data() + first + 4, &b, sizeof(b));
+    return bytes;
+  };
+  ExpectRejected(with_cols(70000, 5), "back_a_block.m3s");
+  ExpectRejected(with_cols(9, 5), "back_in_block.m3s");
+  ExpectRejected(with_cols(5, 5), "repeated.m3s");
 }
 
 // The randomized sweep: every seed picks a mutation class and random
